@@ -35,9 +35,9 @@ cache-smoke:
 kernel-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/kernel_smoke.py
 
-# Vectorized-tier smoke: REPRO_VEC=1 CLI report byte-identical to the
-# reference, the NumPy-absent fallback byte-identical too, and the
-# batched stage pipeline over its smoke speedup floor.
+# Vectorized-tier smoke: a 64-seed-unit `repro sweep` byte-identical to
+# the same sweep under REPRO_KERNEL=0, and the batched stage pipeline
+# over its smoke speedup floor.
 vec-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/vec_smoke.py
 

@@ -23,13 +23,12 @@ the Monte Carlo hot path is tracked across PRs:
   weights → lockstep EDF, all four metrics of a seed batch folded into
   one EDF call, exactly the seed-batch driver's shape) over the same
   stages through the compiled kernel, one lane at a time.  Slicing is
-  excluded from both sides — it is the same sequential DP in both
-  tiers (the vec tier only accelerates its tail ranking).  Interleaved
-  best-of-``R`` again; every lane's schedule must be bit-identical to
-  the compiled kernel's, a seed subsample must match the *reference
-  oracle* (``use_kernel=False``) field for field on the default
-  tie-break, and the speedup must clear ``--vec-target`` (default
-  4.0×), or the benchmark fails.
+  excluded from both sides — it is the same compiled DP in both tiers.
+  Interleaved best-of-``R`` again; every lane's schedule must be
+  bit-identical to the compiled kernel's, a seed subsample run through
+  the seed-batch driver (``paired_outcomes``) must match the *reference
+  oracle* (``use_kernel=False``) field for field, and the speedup must
+  clear ``--vec-target`` (default 4.0×), or the benchmark fails.
 
 The paired engine is then timed with ``jobs=1`` vs ``jobs=4`` at a
 larger trial count (``--mp-trials``; the pool's startup cost needs real
@@ -119,8 +118,9 @@ def vec_leg(
     the lane stack) are prewarmed for both sides alike.
 
     Raises ``SystemExit`` on any bit-identity mismatch — against the
-    compiled kernel per lane, and against the reference oracle
-    (``use_kernel=False``) on an *oracle_checks*-seed subsample.
+    compiled kernel per lane, and, on an *oracle_checks*-seed
+    subsample judged by the seed-batch driver, against the reference
+    oracle (``use_kernel=False``).
     """
     import math
 
@@ -203,20 +203,23 @@ def vec_leg(
             print("FATAL: vec tier diverges from the compiled kernel")
             raise SystemExit(1)
 
-    # Reference-oracle subsample: full run_trial outcomes, vec tier vs
-    # the string-keyed reference pipeline on the default tie-break.
+    # Reference-oracle subsample: full trial outcomes, the seed-batch
+    # driver vs the string-keyed reference pipeline.
     fields = (
         "success", "degenerate", "n_tasks", "min_laxity",
         "makespan", "max_lateness", "failed_task",
     )
     step = max(1, lanes // max(1, oracle_checks))
-    for sp in range(0, lanes, step):
-        for metric_name in METRIC_NAMES:
-            config = TrialConfig(workload=params, metric=metric_name)
+    sub = list(range(0, lanes, step))
+    cells = [
+        (si, TrialConfig(workload=params, metric=metric_name))
+        for si, metric_name in enumerate(METRIC_NAMES)
+    ]
+    outcomes = V.paired_outcomes(cells, sub, [contexts[sp] for sp in sub])
+    for pos, sp in enumerate(sub):
+        for si, config in cells:
             ref = run_trial(config, sp, contexts[sp], use_kernel=False)
-            fast = run_trial(
-                config, sp, contexts[sp], use_kernel=True, use_vec=True
-            )
+            fast = outcomes[(si, pos)]
             for name in fields:
                 a, b = getattr(ref, name), getattr(fast, name)
                 if not (
@@ -230,7 +233,7 @@ def vec_leg(
                 ):
                     print(
                         "FATAL: vec tier diverges from the reference "
-                        f"oracle (seed {sp}, {metric_name}, {name}: "
+                        f"oracle (seed {sp}, {config.metric}, {name}: "
                         f"{a!r} != {b!r})"
                     )
                     raise SystemExit(1)
@@ -337,25 +340,17 @@ def main(argv: list[str] | None = None) -> int:
     print(f"paired-ref:     {ref_s:.3f} s")
     print(f"paired/kernel:  {kernel_s:.3f} s")
 
-    from repro.kernel.vec import vec_available
-
-    if vec_available():
-        print(
-            f"vec leg: batched stage pipeline vs compiled kernel, "
-            f"{args.vec_lanes} lanes x {len(METRIC_NAMES)} metrics, "
-            f"best of {args.repeats} interleaved"
-        )
-        vk_s, vec_s, vec_lanes_total = vec_leg(
-            args.vec_lanes, args.repeats, args.vec_checks
-        )
-        vec_speedup = vk_s / vec_s
-        vec_note = None
-        print(f"kernel stages:  {vk_s:.3f} s")
-        print(f"vec stages:     {vec_s:.3f} s  ({vec_lanes_total} lanes)")
-    else:  # pragma: no cover - numpy is available on the bench box
-        vk_s = vec_s = vec_speedup = None
-        vec_note = "skipped: numpy unavailable"
-        print("vec leg: skipped (numpy unavailable)")
+    print(
+        f"vec leg: batched stage pipeline vs compiled kernel, "
+        f"{args.vec_lanes} lanes x {len(METRIC_NAMES)} metrics, "
+        f"best of {args.repeats} interleaved"
+    )
+    vk_s, vec_s, vec_lanes_total = vec_leg(
+        args.vec_lanes, args.repeats, args.vec_checks
+    )
+    vec_speedup = vk_s / vec_s
+    print(f"kernel stages:  {vk_s:.3f} s")
+    print(f"vec stages:     {vec_s:.3f} s  ({vec_lanes_total} lanes)")
 
     cpu_count = os.cpu_count() or 1
     single_cpu = cpu_count == 1
@@ -404,11 +399,7 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"speedup: {speedup:.2f}x paired-over-percell, "
         f"{kernel_speedup:.2f}x kernel-over-reference"
-        + (
-            ""
-            if vec_speedup is None
-            else f", {vec_speedup:.2f}x vec-over-kernel stages"
-        )
+        + f", {vec_speedup:.2f}x vec-over-kernel stages"
         + (
             ""
             if multiprocess_speedup is None
@@ -427,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{args.kernel_target}x target"
         )
         return 1
-    if vec_speedup is not None and vec_speedup < args.vec_target:
+    if vec_speedup < args.vec_target:
         print(
             f"FATAL: vec speedup {vec_speedup:.3f}x is below the "
             f"{args.vec_target}x target"
@@ -451,17 +442,10 @@ def main(argv: list[str] | None = None) -> int:
         "kernel_speedup": round(kernel_speedup, 4),
         "kernel_target": args.kernel_target,
         "vec_lanes": args.vec_lanes,
-        "vec_kernel_stage_seconds": (
-            None if vk_s is None else round(vk_s, 6)
-        ),
-        "vec_stage_seconds": (
-            None if vec_s is None else round(vec_s, 6)
-        ),
-        "vec_speedup": (
-            None if vec_speedup is None else round(vec_speedup, 4)
-        ),
+        "vec_kernel_stage_seconds": round(vk_s, 6),
+        "vec_stage_seconds": round(vec_s, 6),
+        "vec_speedup": round(vec_speedup, 4),
         "vec_target": args.vec_target,
-        "vec_note": vec_note,
         "multiprocess_trials_per_cell": args.mp_trials,
         "multiprocess_jobs": 4,
         "paired_mp_jobs1_seconds": round(mp1_s, 6),

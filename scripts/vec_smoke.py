@@ -1,17 +1,15 @@
-#!/usr/bin/env python
 """End-to-end smoke test of the vectorized tier (used by CI).
 
-Three gates, each fatal:
+Two gates, each fatal:
 
-1. **CLI bit-identity** — a tiny sweep through ``python -m repro
-   experiment`` with ``REPRO_VEC=1`` (vectorized tier, seed-batch
-   driver) must print the byte-identical report of a ``REPRO_KERNEL=0``
-   reference run.  This is the oracle contract on the full user path:
-   CLI → paired engine → batch driver → slicing → EDF → report.
-2. **Fallback bit-identity** — the same ``REPRO_VEC=1`` run with
-   ``REPRO_VEC_NO_NUMPY=1`` (NumPy reported absent) must fall through
-   to the compiled kernel and still match the reference byte for byte.
-3. **Speedup floor** — the batched stage pipeline (estimates → weights
+1. **Sweep bit-identity** — a fig2 sweep through ``python -m repro
+   sweep --workers 0`` (64-seed work units, so every unit runs through
+   the seed-batch driver) must print the byte-identical report, and
+   write the identical result document, of the same sweep under
+   ``REPRO_KERNEL=0`` (the reference oracle on every layer).  This is
+   the oracle contract on the full user path: CLI → fabric → batch
+   driver → slicing → EDF → merge → report.
+2. **Speedup floor** — the batched stage pipeline (estimates → weights
    → lockstep EDF over a seed batch, all four metrics folded into one
    EDF call) must beat the same stages through the per-lane compiled
    kernel by at least ``VEC_SMOKE_TARGET`` (default 2.0× — a smoke
@@ -27,26 +25,34 @@ Usage::
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
 import sys
-import time
+import tempfile
+from pathlib import Path
 
 FIGURE = "fig2"
-TRIALS = "8"
+#: One 64-seed unit per sweep point: the auto unit width, wide enough
+#: for the seed-batch driver to engage.
+TRIALS = "64"
 SMOKE_LANES = 256
 SMOKE_REPEATS = 3
 
 
-def run_once(env_overrides: dict[str, str]) -> str:
-    """One CLI run; returns the report text (wall-clock normalized)."""
+def run_once(workdir: Path, env_overrides: dict[str, str]) -> tuple[str, str]:
+    """One CLI sweep into a fresh store under *workdir*; returns the
+    report text (wall clock and fabric timing line dropped) and the
+    canonical result document (wall clock dropped)."""
     env = dict(os.environ)
     env.update(env_overrides)
+    out = workdir / "out"
     proc = subprocess.run(
         [
-            sys.executable, "-m", "repro", "experiment", FIGURE,
-            "--trials", TRIALS, "--jobs", "1",
+            sys.executable, "-m", "repro", "sweep", FIGURE,
+            "--trials", TRIALS, "--workers", "0",
+            "--store", str(workdir / "store"), "--out", str(out),
         ],
         capture_output=True,
         text=True,
@@ -56,7 +62,11 @@ def run_once(env_overrides: dict[str, str]) -> str:
         print(proc.stdout)
         print(proc.stderr, file=sys.stderr)
         raise SystemExit(f"FATAL: CLI exited {proc.returncode} ({env_overrides})")
-    return re.sub(r"elapsed=\S+", "elapsed=*", proc.stdout)
+    report = re.sub(r"elapsed=\S+", "elapsed=*", proc.stdout)
+    report = re.sub(r"(?m)^fabric: .*$", "fabric: *", report)
+    doc = json.loads((out / f"{FIGURE}.json").read_text())
+    doc.pop("elapsed_seconds")
+    return report, json.dumps(doc, sort_keys=True)
 
 
 def stage_speedup() -> float:
@@ -73,31 +83,19 @@ def stage_speedup() -> float:
 
 
 def main() -> int:
-    from repro.kernel.vec import vec_available
-
-    if not vec_available():
-        print("FATAL: numpy unavailable — the vec smoke cannot run",
-              file=sys.stderr)
-        return 1
-
     target = float(os.environ.get("VEC_SMOKE_TARGET", "2.0"))
     failures = []
 
-    reference = run_once({"REPRO_KERNEL": "0", "REPRO_VEC": "0"})
-    print(f"reference run (REPRO_KERNEL=0): {len(reference)} bytes of report")
-    vec = run_once({"REPRO_KERNEL": "1", "REPRO_VEC": "1"})
-    print(f"vec run       (REPRO_VEC=1):    {len(vec)} bytes of report")
-    if vec != reference:
-        failures.append("REPRO_VEC=1 report differs from the reference report")
-
-    fallback = run_once(
-        {"REPRO_KERNEL": "1", "REPRO_VEC": "1", "REPRO_VEC_NO_NUMPY": "1"}
-    )
-    print(f"fallback run  (numpy absent):   {len(fallback)} bytes of report")
-    if fallback != reference:
-        failures.append(
-            "NumPy-absent fallback report differs from the reference report"
-        )
+    with tempfile.TemporaryDirectory(prefix="vec-smoke-") as tmp:
+        reference = run_once(Path(tmp) / "ref", {"REPRO_KERNEL": "0"})
+        print(f"reference sweep (REPRO_KERNEL=0): "
+              f"{len(reference[0])} bytes of report")
+        vec = run_once(Path(tmp) / "vec", {"REPRO_KERNEL": "1"})
+        print(f"vec sweep       (REPRO_KERNEL=1): {len(vec[0])} bytes of report")
+    if vec[0] != reference[0]:
+        failures.append("vec sweep report differs from the reference report")
+    if vec[1] != reference[1]:
+        failures.append("vec sweep result document differs from the reference")
 
     speedup = stage_speedup()
     print(f"vec stage speedup: {speedup:.2f}x (floor {target}x)")
@@ -110,8 +108,7 @@ def main() -> int:
         print(f"FATAL: {failure}", file=sys.stderr)
     if failures:
         return 1
-    print("vec smoke OK: bit-identical reports, fallback sound, "
-          "speedup floor cleared")
+    print("vec smoke OK: bit-identical sweeps, speedup floor cleared")
     return 0
 
 

@@ -77,8 +77,8 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         "--chunk-size",
         type=int,
         default=None,
-        help="trials per work unit (default: auto — sized to fill the "
-        "vectorized kernel's batch lanes; results are invariant)",
+        help="trials per work unit (default: min(trials, 64), one "
+        "vectorized seed batch; results are invariant)",
     )
     parser.add_argument(
         "--batch",

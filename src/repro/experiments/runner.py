@@ -52,19 +52,8 @@ from ..rng import derive_seed
 from ..sched.listsched import get_scheduler
 from ..store import StoreStats, TrialStore, store_key
 from ..system.interconnect import ContentionBus
-from ..kernel.trial import (
-    kernel_enabled,
-    kernel_supported,
-    run_trial_kernel,
-    run_trial_vec,
-)
-from ..kernel.vec import (
-    VEC_MIN_LANES,
-    batch_supported,
-    vec_available,
-    vec_enabled,
-    vec_mode,
-)
+from ..kernel.trial import kernel_enabled, kernel_supported, run_trial_kernel
+from ..kernel.vec import batch_engages, paired_outcomes
 from .context import TrialContext
 from .spec import ExperimentSpec, TrialConfig, TrialOutcome
 
@@ -92,7 +81,6 @@ def run_trial(
     seed: int,
     context: TrialContext | None = None,
     use_kernel: bool | None = None,
-    use_vec: bool | None = None,
 ) -> TrialOutcome:
     """Run one generate→slice→schedule trial.
 
@@ -104,24 +92,12 @@ def run_trial(
 
     ``use_kernel`` pins the compiled fast path on (``True``) or off
     (``False``); the default ``None`` defers to the ``REPRO_KERNEL``
-    environment switch.  ``use_vec`` likewise pins the vectorized tier
-    (default: the ``REPRO_VEC`` switch — in its default ``auto`` mode
-    this *single-trial* path stays scalar, because the vec win only
-    materializes across a seed batch; ``REPRO_VEC=1`` forces it on);
-    it engages only when NumPy is importable and silently falls through
-    to the compiled kernel otherwise.  Pinning ``use_kernel=False``
-    (the ``paired-ref`` oracle) disables the vectorized tier too — the
-    reference pipeline runs alone.  Every tier is bit-identical inside
-    its envelope, so the outcome never depends on these switches.
+    environment switch.  The kernel is bit-identical to the reference
+    inside its envelope, so the outcome never depends on the switch.
     """
     if context is None:
         context = TrialContext.from_seed(config.workload, seed)
     use_k = use_kernel if use_kernel is not None else kernel_enabled()
-    use_v = use_vec if use_vec is not None else vec_mode() == "on"
-    if use_kernel is False:
-        use_v = False
-    if use_v and vec_available() and kernel_supported(config):
-        return run_trial_vec(config, context)
     if use_k and kernel_supported(config):
         return run_trial_kernel(config, context)
     graph, platform = context.graph, context.platform
@@ -341,12 +317,11 @@ def run_cell(
     config: TrialConfig,
     seeds: Sequence[int],
     use_kernel: bool | None = None,
-    use_vec: bool | None = None,
 ) -> CellResult:
     """Run a block of trials of one cell serially (per-cell worker unit)."""
     acc = _CellAccumulator()
     for seed in seeds:
-        acc.add(run_trial(config, seed, use_kernel=use_kernel, use_vec=use_vec))
+        acc.add(run_trial(config, seed, use_kernel=use_kernel))
     return acc.result(len(seeds))
 
 
@@ -354,7 +329,6 @@ def run_paired_cells(
     cells: Sequence[tuple[int, TrialConfig]],
     seeds: Sequence[int],
     use_kernel: bool | None = None,
-    use_vec: bool | None = None,
 ) -> list[tuple[int, CellResult]]:
     """Run a block of paired trials covering every series of one sweep point.
 
@@ -366,30 +340,15 @@ def run_paired_cells(
     :class:`TrialContext`.  Returns one partial :class:`CellResult` per
     series, aggregated over this seed block.
 
-    With the vectorized tier active (NumPy present; engaged
-    automatically for batches of at least
-    :data:`~repro.kernel.vec.VEC_MIN_LANES` seeds, or at any width ≥ 2
-    when pinned via ``use_vec=True``/``REPRO_VEC=1``) and a single
-    shared workload family, the whole block runs through the seed-batch
+    When :func:`~repro.kernel.vec.batch_engages` says so (kernel on,
+    at least :data:`~repro.kernel.vec.VEC_MIN_LANES` seeds, one shared
+    workload family), the whole block runs through the seed-batch
     driver: one weight-stage array pass and one lockstep EDF pass cover
     every seed lane of each series, and the per-series accumulators are
     fed the identical outcomes in the identical seed order — the
     aggregates match the sequential loop bit for bit.
     """
-    pinned = use_vec is True or vec_mode() == "on"
-    use_v = use_vec if use_vec is not None else vec_enabled()
-    if use_kernel is False:
-        use_v = False
-    min_lanes = 2 if pinned else VEC_MIN_LANES
-    if (
-        use_v
-        and vec_available()
-        and len(seeds) >= min_lanes
-        and len({config.workload for _si, config in cells}) == 1
-        and any(batch_supported(config) for _si, config in cells)
-    ):
-        from ..kernel.vec import paired_outcomes
-
+    if batch_engages(cells, len(seeds), use_kernel):
         contexts = TrialContext.from_seeds(cells[0][1].workload, seeds)
         outcomes = paired_outcomes(cells, seeds, contexts, use_kernel)
         accs = {si: _CellAccumulator() for si, _ in cells}
@@ -407,7 +366,7 @@ def run_paired_cells(
                 context = TrialContext.from_seed(config.workload, seed)
                 contexts_by_wl[config.workload] = context
             accs[si].add(
-                run_trial(config, seed, context, use_kernel, use_vec)
+                run_trial(config, seed, context, use_kernel)
             )
     return [(si, accs[si].result(len(seeds))) for si, _ in cells]
 

@@ -34,13 +34,7 @@ from ..experiments.runner import (
     run_paired_cells,
 )
 from ..experiments.spec import ExperimentSpec, TrialConfig
-from ..kernel.vec import (
-    VEC_MIN_LANES,
-    batch_supported,
-    vec_available,
-    vec_enabled,
-    vec_mode,
-)
+from ..kernel.vec import VEC_MIN_LANES, batch_engages, paired_outcomes
 from ..store import TrialStore, store_key
 
 __all__ = [
@@ -77,22 +71,19 @@ def _unit_id(keys: Sequence[str]) -> str:
 
 
 def auto_chunk_size(trials: int) -> int:
-    """Vec-aware default seed-chunk width for one work unit.
+    """Default seed-chunk width for one work unit: ``min(trials, 64)``.
 
     A unit is both the granule of distribution *and* the seed batch the
-    vectorized kernel gets to fill with lanes, so sizing it too small
-    (the historical ``chunk_size=2`` crumbs) starves the batch path and
-    multiplies per-unit protocol overhead.  With the vec tier able to
-    engage (mode not ``off``, NumPy importable) a unit gets up to 64
-    seeds — comfortably past :data:`~repro.kernel.vec.VEC_MIN_LANES`
-    with amortization headroom but still fine-grained enough to steal;
-    otherwise 32, the paired engine's classic chunk.  Never more than
-    *trials* (a chunk cannot outgrow its cell).
+    vectorized kernel fills with lanes, so sizing it too small (the
+    historical ``chunk_size=2`` crumbs) starves the batch path and
+    multiplies per-unit protocol overhead.  64 seeds is exactly
+    :data:`~repro.kernel.vec.VEC_MIN_LANES`, so a full unit engages the
+    batch path on its own, while staying fine-grained enough to steal.
+    Never more than *trials* (a chunk cannot outgrow its cell).
     """
     if trials < 1:
         raise FabricError("trials must be at least 1")
-    width = 64 if (vec_enabled() and vec_available()) else 32
-    return min(trials, width)
+    return min(trials, VEC_MIN_LANES)
 
 
 def extract_units(
@@ -207,24 +198,20 @@ def unit_is_stored(store: TrialStore, unit: WorkUnit) -> bool:
 
 
 def compute_unit(
-    unit: WorkUnit,
-    use_kernel: bool | None = None,
-    use_vec: bool | None = None,
+    unit: WorkUnit, use_kernel: bool | None = None
 ) -> list[tuple[str, dict[str, Any]]]:
     """Judge one unit; returns its ``(store key, record)`` pairs.
 
     Exactly the paired engine's arithmetic
     (:func:`~repro.experiments.runner.run_paired_cells` on the same
     cells and seed block), so the committed records are the ones a
-    single-process run would have produced.  ``use_kernel``/``use_vec``
-    pin the fast-path tiers; the defaults defer to the worker's
-    ``REPRO_KERNEL``/``REPRO_VEC`` environment — either way the records
-    are bit-identical, a unit is free to be judged by a vectorized
-    worker and merged next to scalar ones.
+    single-process run would have produced.  ``use_kernel`` pins the
+    fast path; the default defers to the worker's ``REPRO_KERNEL``
+    environment — either way the records are bit-identical, a unit is
+    free to be judged by a vectorized worker and merged next to scalar
+    ones.
     """
-    partials = run_paired_cells(
-        list(unit.cells), list(unit.seeds), use_kernel, use_vec
-    )
+    partials = run_paired_cells(list(unit.cells), list(unit.seeds), use_kernel)
     return [
         (unit.keys[i], cell.to_dict())
         for i, (_si, cell) in enumerate(partials)
@@ -232,9 +219,7 @@ def compute_unit(
 
 
 def compute_units(
-    units: Sequence[WorkUnit],
-    use_kernel: bool | None = None,
-    use_vec: bool | None = None,
+    units: Sequence[WorkUnit], use_kernel: bool | None = None
 ) -> list[tuple[str, dict[str, Any]]]:
     """Judge a batch of units; returns all their ``(key, record)`` pairs.
 
@@ -248,15 +233,10 @@ def compute_units(
     are computed independently in the batch driver and the aggregation
     is the very code :func:`run_paired_cells` uses, so the records are
     bit-identical to computing each unit alone — batching changes the
-    protocol cost, never the bytes.  Groups too narrow for the vec tier
-    (or with it unavailable/off) fall back to per-unit
-    :func:`compute_unit`.
+    protocol cost, never the bytes.  Single units, and groups
+    :func:`~repro.kernel.vec.batch_engages` turns down, fall back to
+    per-unit :func:`compute_unit`.
     """
-    pinned = use_vec is True or vec_mode() == "on"
-    use_v = use_vec if use_vec is not None else vec_enabled()
-    if use_kernel is False:
-        use_v = False
-    min_lanes = 2 if pinned else VEC_MIN_LANES
     results: list[tuple[str, dict[str, Any]]] = []
     i = 0
     while i < len(units):
@@ -269,16 +249,7 @@ def compute_units(
         i += len(group)
         cells = list(group[0].cells)
         lanes = sum(len(u.seeds) for u in group)
-        if (
-            len(group) > 1
-            and use_v
-            and vec_available()
-            and lanes >= min_lanes
-            and len({config.workload for _si, config in cells}) == 1
-            and any(batch_supported(config) for _si, config in cells)
-        ):
-            from ..kernel.vec import paired_outcomes
-
+        if len(group) > 1 and batch_engages(cells, lanes, use_kernel):
             seeds = [s for u in group for s in u.seeds]
             contexts = TrialContext.from_seeds(cells[0][1].workload, seeds)
             outcomes = paired_outcomes(cells, seeds, contexts, use_kernel)
@@ -296,5 +267,5 @@ def compute_units(
                 )
         else:
             for unit in group:
-                results.extend(compute_unit(unit, use_kernel, use_vec))
+                results.extend(compute_unit(unit, use_kernel))
     return results

@@ -103,7 +103,6 @@ def worker_loop(
     poll: float = 0.2,
     batch: int = DEFAULT_BATCH,
     use_kernel: bool | None = None,
-    use_vec: bool | None = None,
     max_units: int | None = None,
     stats: MutableMapping[str, float] | None = None,
 ) -> int:
@@ -112,10 +111,10 @@ def worker_loop(
     ``batch`` caps the units leased (and group-committed) per round
     trip; ``max_units`` bounds this worker's total share (tests and
     canary runs) — the loop otherwise runs until
-    :meth:`Transport.finished`.  ``use_kernel``/``use_vec`` pin the
-    fast-path tiers per worker; the defaults defer to the inherited
-    ``REPRO_KERNEL``/``REPRO_VEC`` environment, and records commit
-    bit-identically either way.  ``stats``, when given, accumulates the
+    :meth:`Transport.finished`.  ``use_kernel`` pins the fast path
+    per worker; the default defers to the inherited ``REPRO_KERNEL``
+    environment, and records commit bit-identically either way.
+    ``stats``, when given, accumulates the
     per-phase wall-clock split — ``lease_seconds`` (protocol: leasing),
     ``compute_seconds`` (trial arithmetic), ``commit_seconds``
     (protocol: records + done marks) and ``units`` — the breakdown the
@@ -143,7 +142,7 @@ def worker_loop(
                 # completed without recomputation.
                 todo = [u for u in units if not transport.stored(u)]
                 t2 = time.perf_counter()
-                records = compute_units(todo, use_kernel, use_vec)
+                records = compute_units(todo, use_kernel)
                 t3 = time.perf_counter()
             transport.complete_batch(worker, units, records)
             t4 = time.perf_counter()
@@ -177,10 +176,9 @@ def local_worker_entry(
     """Process entry point of one ``repro sweep --workers N`` worker.
 
     Spawn-safe: arguments are plain strings/floats, every object is
-    reconstructed here.  The kernel and vectorized-tier choices
-    deliberately defer to the ``REPRO_KERNEL``/``REPRO_VEC``
-    environment the worker inherited, exactly like a single-process
-    run's pool workers.
+    reconstructed here.  The tier choice deliberately defers to the
+    ``REPRO_KERNEL`` environment the worker inherited, exactly like a
+    single-process run's pool workers.
     """
     from .transport import LocalTransport
 

@@ -7,12 +7,11 @@ bit-identical to the string-keyed reference implementation in
 ``repro.core`` / ``repro.sched`` (which stays available as the oracle
 via ``engine="paired-ref"`` or ``REPRO_KERNEL=0``).
 
-A third tier, :mod:`repro.kernel.vec`, lifts the weight stage, the
-slicing tail ranking, and a lockstep seed-batch EDF engine onto NumPy
-arrays — engaged automatically for wide seed batches when NumPy is
-importable (``REPRO_VEC=0`` opts out, ``=1`` forces it everywhere) —
-still bit-identical on the default tie-break, with an automatic
-pure-Python fallback when NumPy is absent.
+A third tier, :mod:`repro.kernel.vec`, judges a whole seed batch as a
+NumPy stage pipeline — batched estimates and weights, then a lockstep
+EDF engine — still bit-identical.  The paired engine and the sweep
+fabric engage it for blocks of at least ``VEC_MIN_LANES`` seeds while
+the kernel is enabled.
 
 See ``docs/performance.md`` for the architecture and the measured
 speedups.
@@ -22,19 +21,7 @@ from .compiled import CompiledWorkload, compile_workload
 from .edf import KernelSchedule, kernel_schedule_edf
 from .metrics import KERNEL_METRIC_TYPES, kernel_weights
 from .slicing import KernelAssignment, kernel_slice
-from .trial import (
-    kernel_enabled,
-    kernel_supported,
-    run_trial_kernel,
-    run_trial_vec,
-)
-from .vec import (
-    VEC_MIN_LANES,
-    vec_available,
-    vec_enabled,
-    vec_fastmath,
-    vec_mode,
-)
+from .trial import kernel_enabled, kernel_supported, run_trial_kernel
 
 __all__ = [
     "CompiledWorkload",
@@ -48,10 +35,4 @@ __all__ = [
     "kernel_enabled",
     "kernel_supported",
     "run_trial_kernel",
-    "run_trial_vec",
-    "VEC_MIN_LANES",
-    "vec_available",
-    "vec_enabled",
-    "vec_fastmath",
-    "vec_mode",
 ]

@@ -112,29 +112,14 @@ class KernelAssignment:
 
 
 def kernel_slice(
-    cw: CompiledWorkload, metric, weights: Sequence[float],
-    use_vec: bool = False,
+    cw: CompiledWorkload, metric, weights: Sequence[float]
 ) -> KernelAssignment:
     """Run Algorithm SLICING on the compiled arrays.
 
     *metric* must be one of the kernel-supported metric instances (its
     sharing family selects the ratio/deadline formulas); *weights* is
     the matching :func:`~repro.kernel.metrics.kernel_weights` array.
-
-    ``use_vec=True`` lets wide per-head tail scans rank their
-    candidates on vectorized laxity/weight arrays (see
-    :func:`repro.kernel.vec.vec_tail_rank`); the DP itself stays
-    sequential — at trial sizes its per-edge work is too fine-grained
-    for arrays to win.  The selected candidates are identical either
-    way (the vector path applies the same staged total order and defers
-    path-lexicographic ties to the scalar comparator).
     """
-    vec_rank = None
-    if use_vec:
-        from .vec import VEC_TAIL_MIN, vec_available, vec_tail_rank
-
-        if vec_available():
-            vec_rank = vec_tail_rank
     n = cw.n
     succ_lists = cw.succ_lists
     pred_ps = cw.pred_ps
@@ -264,34 +249,6 @@ def kernel_slice(
             leader_path: tuple[int, ...] | None = None
             a_h = arr[h]
             mbits = mask & dl_mask
-            if vec_rank is not None and mbits.bit_count() >= VEC_TAIL_MIN:
-                # Wide tail set: score every candidate in one array
-                # pass.  The staged (r, −Σw, −length) selection matches
-                # the scalar scan; full ties fall through to the same
-                # path-lexicographic comparator, scanned in the same
-                # ascending-index order, so the winner is identical.
-                tails = []
-                tb = mbits
-                while tb:
-                    low = tb & -tb
-                    tb ^= low
-                    tails.append(low.bit_length() - 1)
-                ranked = vec_rank(tails, dist, cnt, dl, a_h, norm)
-                if ranked is None:
-                    raise MetricError(
-                        "NORM requires positive execution times"
-                    )
-                tied, l_r, l_w, l_len = ranked
-                l_tail = tied[0]
-                if len(tied) > 1:
-                    leader_path = _reconstruct(par, l_tail)
-                    for t in tied[1:]:
-                        path = _reconstruct(par, t)
-                        if _rank_lt(rank, path, leader_path):
-                            l_tail = t
-                            leader_path = path
-                l_dl = dl[l_tail]
-                mbits = 0
             while mbits:
                 low = mbits & -mbits
                 mbits ^= low

@@ -8,8 +8,9 @@ SL/FIFO/LLF scheduler variants, custom metric objects) falls back to
 the reference implementation, which remains the oracle the kernel is
 tested bit-identical against.
 
-``REPRO_KERNEL=0`` disables the kernel globally (the environment is
-read per call, so tests and the CLI can flip it without re-imports);
+``REPRO_KERNEL=0`` disables the kernel globally, the vectorized
+seed-batch tier included (the environment is read per call, so tests
+and the CLI can flip it without re-imports);
 ``engine="paired-ref"`` in :func:`repro.experiments.runner.run_experiment`
 forces the reference path for one run regardless of the environment.
 """
@@ -34,7 +35,6 @@ __all__ = [
     "kernel_enabled",
     "kernel_supported",
     "run_trial_kernel",
-    "run_trial_vec",
 ]
 
 
@@ -71,17 +71,14 @@ def kernel_supported(config: "TrialConfig") -> bool:
 
 
 def run_trial_kernel(
-    config: "TrialConfig", context: "TrialContext", use_vec: bool = False
+    config: "TrialConfig", context: "TrialContext"
 ) -> "TrialOutcome":
     """One generate→slice→schedule trial on the compiled fast path.
 
     Produces the exact :class:`TrialOutcome` of the reference
     :func:`repro.experiments.runner.run_trial` for every supported
     config (see :func:`kernel_supported`); callers must gate on that
-    predicate.  ``use_vec=True`` routes the weight stage and the
-    slicing tail ranking through :mod:`repro.kernel.vec` (same floats,
-    array ops); callers should additionally gate on
-    :func:`repro.kernel.vec.vec_available`.
+    predicate.
     """
     from ..experiments.spec import TrialOutcome
 
@@ -99,13 +96,8 @@ def run_trial_kernel(
         # Graph-aware or custom strategies go through the reference map.
         est_map = context.estimates_for(config.estimator)
         est = cw.estimates_list(est_key, est_map)
-    if use_vec:
-        from .vec import vec_weights
-
-        weights = vec_weights(cw, metric, est, est_key=est_key)
-    else:
-        weights = kernel_weights(cw, metric, est, est_key=est_key)
-    ka = kernel_slice(cw, metric, weights, use_vec=use_vec)
+    weights = kernel_weights(cw, metric, est, est_key=est_key)
+    ka = kernel_slice(cw, metric, weights)
 
     comm = (
         ContentionBus(config.workload.bus_delay_per_item)
@@ -133,19 +125,3 @@ def run_trial_kernel(
         max_lateness=max_lateness,
         failed_task=ks.failed_task,
     )
-
-
-def run_trial_vec(
-    config: "TrialConfig", context: "TrialContext"
-) -> "TrialOutcome":
-    """One trial through the vectorized tier (NumPy weight stage and
-    tail ranking over the compiled slicing/EDF pipeline).
-
-    Bit-identical to :func:`run_trial_kernel` and the reference for
-    every supported config; callers gate on :func:`kernel_supported`
-    and :func:`repro.kernel.vec.vec_available` (when NumPy is absent
-    the dispatcher must fall through to the pure-Python kernel).
-    """
-    return run_trial_kernel(config, context, use_vec=True)
-
-

@@ -1,55 +1,44 @@
-"""Vectorized trial kernel: NumPy batch path over compiled workloads.
+"""Vectorized trial kernel: NumPy seed-batch path over compiled workloads.
 
 Third tier of the trial dispatch (reference oracle → compiled kernel →
 vectorized kernel).  Where the compiled kernel replaced string-keyed
 dicts with flat integer-indexed arrays walked by interpreted Python,
-this layer lifts the remaining hot loops onto whole-array NumPy ops:
+this layer judges a whole seed batch of one sweep point as a stage
+pipeline of whole-array NumPy ops:
 
-* :func:`vec_weights` / :func:`vec_weights_batch` — the metric weight
-  arrays (thresholds, static levels, average parallelism ξ, the
-  ADAPT-G/ADAPT-L surplus inflation) as elementwise array expressions,
-  batched across every seed of a ``(cell, chunk)`` unit;
-* :func:`vec_tail_rank` — the slicing DP's per-head candidate ranking
-  over vectorized laxity/weight arrays (used by
-  :func:`repro.kernel.slicing.kernel_slice` when the tail set is wide);
+* :func:`vec_estimates_batch` / :func:`vec_weights_batch` — the WCET
+  estimates and the metric weight arrays (thresholds, static levels,
+  average parallelism ξ, the ADAPT-G/ADAPT-L surplus inflation) as
+  elementwise array expressions over every seed lane;
 * :func:`vec_schedule_edf_batch` — a lockstep EDF engine that advances
-  *all* seeds of a chunk one placement per step, batching the ready-set
-  deadline comparisons and the per-processor placement probes as
+  *all* lanes one placement per step, batching the ready-set deadline
+  comparisons and the per-processor placement probes as
   ``[lanes × tasks]`` array ops;
 * :func:`paired_outcomes` — the seed-batch driver the paired engine
-  calls: one shared array pipeline replaces thousands of per-trial
-  Python operations.
+  calls: estimates and weights, then the compiled slicing DP per lane,
+  then one lockstep EDF call for every series of the block.
 
-Bit-identity contract: on the default tie-break the vectorized path
-produces the exact floats of the reference pipeline.  The load-bearing
-facts are (a) ``np.cumsum`` accumulates strictly left-to-right, exactly
-like Python's ``sum`` (NumPy's ``.sum()`` does *not* — it pairs up), so
+:func:`batch_engages` is the one rule that picks this tier: the kernel
+is enabled, the block has at least :data:`VEC_MIN_LANES` seeds, every
+series shares one workload family, and some series is batchable.
+
+Bit-identity contract: the vectorized path produces the exact floats
+of the reference pipeline.  The load-bearing facts are (a)
+``np.cumsum`` accumulates strictly left-to-right, exactly like
+Python's ``sum`` (NumPy's ``.sum()`` does *not* — it pairs up), so
 every ordered summation goes through ``cumsum``; (b) min/max/compare
 and elementwise ``+ - * /`` on float64 are single IEEE operations, so
 ``np.where(est >= c_thres, est * surplus, est)`` is bitwise the scalar
 loop; (c) staged masked argmins reproduce lexicographic tie-breaks.
-
-``REPRO_VEC`` selects the tier with three states (:func:`vec_mode`):
-unset defaults to **auto** — batch entry points engage on their own
-whenever NumPy is importable and the seed batch is wide enough
-(:data:`VEC_MIN_LANES` lanes) to amortize the array setup, while the
-per-trial path stays scalar because its win is modest.  ``REPRO_VEC=1``
-(or ``run_trial(use_vec=True)``) forces **on** — every path vectorizes
-regardless of width — and ``REPRO_VEC=0`` opts **off** entirely.
-``REPRO_VEC_FASTMATH=1`` additionally relaxes the bit-identity
-contract where the paper's results cannot depend on it: ordered
-summations may use pairwise ``np.sum``, and ready-pop ties may resolve
-by array position instead of task-id rank.  When NumPy is absent every
-entry point reports unavailable and callers fall through to the pure
-Python compiled kernel — same results, smaller speedup.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from itertools import chain
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from ..core.estimation import WCET_AVG, WCET_MAX, WCET_MIN, get_estimator
 from ..core.metrics import AdaptGMetric, AdaptLMetric, get_metric
@@ -58,6 +47,8 @@ from ..system.interconnect import SharedBus
 from .compiled import CompiledWorkload
 from .edf import MISS_TOLERANCE, kernel_schedule_edf
 from .metrics import kernel_weights
+from .slicing import kernel_slice
+from .trial import kernel_enabled, kernel_supported
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
     from ..experiments.context import TrialContext
@@ -65,87 +56,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
 
 __all__ = [
     "VEC_MIN_LANES",
-    "vec_available",
-    "vec_enabled",
-    "vec_fastmath",
-    "vec_mode",
+    "batch_engages",
     "estimator_batch_supported",
     "vec_estimates_batch",
     "vec_arrays",
-    "vec_weights",
     "vec_weights_batch",
-    "vec_tail_rank",
     "vec_schedule_edf_batch",
     "paired_outcomes",
 ]
 
-_np: Any = None
-_np_checked = False
-
-
-def _numpy():
-    """NumPy, or ``None`` when it cannot be imported (checked once).
-
-    ``REPRO_VEC_NO_NUMPY=1`` forces the absent answer — the CI leg that
-    keeps the pure-Python fallback from rotting sets it, because NumPy
-    cannot actually be uninstalled under the test suite (workload
-    generation's determinism contract is NumPy's RNG).
-    """
-    global _np, _np_checked
-    if os.environ.get("REPRO_VEC_NO_NUMPY", "0") == "1":
-        return None
-    if not _np_checked:
-        _np_checked = True
-        try:
-            import numpy
-        except Exception:  # pragma: no cover - exercised via monkeypatch
-            _np = None
-        else:
-            _np = numpy
-    return _np
-
-
-def vec_available() -> bool:
-    """Whether the vectorized tier can run at all (NumPy importable)."""
-    return _numpy() is not None
-
-
-#: Minimum seed-batch width at which ``auto`` mode engages the batch
-#: path.  Below this the array setup (context building, padded views,
-#: per-step masking) costs as much as the lockstep arithmetic saves —
-#: measured on the reference container, 32-lane batches still run a
-#: few percent *behind* the compiled scalar kernel and parity arrives
-#: around 64 lanes; the stage-level array wins only compound past
-#: that.  Forced mode (``REPRO_VEC=1``/``use_vec=True``) ignores this
-#: floor.
+#: Minimum seed-batch width at which the batch path engages.  Below
+#: this the array setup (context building, padded views, per-step
+#: masking) costs as much as the lockstep arithmetic saves — 32-lane
+#: batches measured a few percent *behind* the compiled scalar kernel
+#: and parity arrives around 64 lanes.
 VEC_MIN_LANES = 64
-
-
-def vec_mode() -> str:
-    """The ``REPRO_VEC`` switch: ``"auto"`` (default), ``"on"``, ``"off"``.
-
-    Unset defaults to **auto**: batch entry points self-select when
-    NumPy is importable and the batch is at least :data:`VEC_MIN_LANES`
-    wide; the per-trial path stays scalar.  ``"1"`` forces **on**
-    (every path vectorizes, any width — the pre-auto opt-in behavior);
-    any other value, e.g. ``"0"``, opts **off**.  Read per call (like
-    ``REPRO_KERNEL``) so tests and the CLI can flip it at runtime
-    without re-imports.
-    """
-    raw = os.environ.get("REPRO_VEC")
-    if raw is None or raw == "":
-        return "auto"
-    return "on" if raw == "1" else "off"
-
-
-def vec_enabled() -> bool:
-    """Whether the vec tier may engage at all (mode is not ``"off"``)."""
-    return vec_mode() != "off"
-
-
-def vec_fastmath() -> bool:
-    """Whether ``REPRO_VEC_FASTMATH=1`` relaxes the bit-identity rules."""
-    return os.environ.get("REPRO_VEC_FASTMATH", "0") == "1"
 
 
 # ----------------------------------------------------------------------
@@ -174,11 +99,9 @@ class VecArrays:
         "wcet",
         "rank",
         "proc_rank",
-        "win_pad",
     )
 
     def __init__(self, cw: CompiledWorkload) -> None:
-        np = _numpy()
         n, m = cw.n, cw.m
         self.n = n
         self.m = m
@@ -209,7 +132,6 @@ class VecArrays:
         self.wcet = np.asarray(cw.wcet_pp, dtype=np.float64).reshape(n, m)
         self.rank = np.asarray(cw.rank, dtype=np.int64)
         self.proc_rank = np.asarray(cw.proc_rank, dtype=np.int64)
-        self.win_pad = None  # scratch slot, unused for now
 
 
 def vec_arrays(cw: CompiledWorkload) -> VecArrays:
@@ -235,7 +157,6 @@ class _LaneStack:
     __slots__ = ("cws", "n_arr", "n_max", "_parts")
 
     def __init__(self, cws: Sequence[CompiledWorkload]) -> None:
-        np = _numpy()
         self.cws = tuple(cws)
         self.n_arr = np.array([cw.n for cw in cws], dtype=np.int64)
         self.n_max = max(int(self.n_arr.max()), 1) if len(cws) else 1
@@ -245,7 +166,6 @@ class _LaneStack:
         """``(succ_pad, succ_cnt, s_max)`` over ``[L, n_max, s_max]``."""
         part = self._parts.get("succ")
         if part is None:
-            np = _numpy()
             L, n_max = len(self.cws), self.n_max
             s_max = 1
             vas = [vec_arrays(cw) for cw in self.cws]
@@ -264,7 +184,6 @@ class _LaneStack:
         """``topo_pad [L, n_max]`` (padding repeats the last real task)."""
         part = self._parts.get("topo")
         if part is None:
-            np = _numpy()
             topo_pad = np.zeros((len(self.cws), self.n_max), dtype=np.int64)
             for b, cw in enumerate(self.cws):
                 topo_pad[b, : cw.n] = vec_arrays(cw).topo
@@ -276,7 +195,6 @@ class _LaneStack:
         """``(pred_pad, pred_sz, pred_cnt, p_max)`` predecessor stacks."""
         part = self._parts.get("pred")
         if part is None:
-            np = _numpy()
             L, n_max = len(self.cws), self.n_max
             p_max = 1
             vas = [vec_arrays(cw) for cw in self.cws]
@@ -307,7 +225,6 @@ class _LaneStack:
         """
         part = self._parts.get("sched")
         if part is None:
-            np = _numpy()
             L, n_max = len(self.cws), self.n_max
             m = self.cws[0].m
             if any(cw.m != m for cw in self.cws):
@@ -346,7 +263,6 @@ class _LaneStack:
         """
         part = self._parts.get("csr")
         if part is None:
-            np = _numpy()
             L, n_max = len(self.cws), self.n_max
             pred_pad, pred_sz, pred_cnt, p_max = self.pred()
             valid = np.arange(p_max) < pred_cnt[:, :, None]  # [L, n, p]
@@ -368,7 +284,6 @@ class _LaneStack:
         """``(pad, cnt, v_max)`` — the raw per-task WCET value lists."""
         part = self._parts.get("vals")
         if part is None:
-            np = _numpy()
             L, n_max = len(self.cws), self.n_max
             v_max = 1
             for cw in self.cws:
@@ -395,7 +310,6 @@ class _LaneStack:
         """
         part = self._parts.get("sizes")
         if part is None:
-            np = _numpy()
             sizes = np.zeros((len(self.cws), self.n_max), dtype=np.float64)
             valid = np.arange(self.n_max) < self.n_arr[:, None]
             sizes[valid] = np.fromiter(
@@ -456,18 +370,16 @@ def estimator_batch_supported(est_name: str) -> bool:
     return est_name in _BATCH_ESTIMATORS
 
 
-def _ordered_sum(np, mat, axis=1):
+def _ordered_sum(mat):
     """Row sums with Python's left-to-right accumulation order.
 
     ``cumsum`` adds strictly sequentially, so its last column equals
     ``functools.reduce(operator.add, row, 0.0)`` — the reference
-    ``sum()`` — bit for bit.  Fast-math mode may use pairwise ``sum``.
+    ``sum()`` — bit for bit.
     """
-    if vec_fastmath():
-        return mat.sum(axis=axis)
-    if mat.shape[axis] == 0:
+    if mat.shape[1] == 0:
         return np.zeros(mat.shape[0], dtype=np.float64)
-    return np.cumsum(mat, axis=axis)[:, -1]
+    return np.cumsum(mat, axis=1)[:, -1]
 
 
 def vec_estimates_batch(
@@ -481,7 +393,6 @@ def vec_estimates_batch(
     into each workload's estimate memo, so later scalar stages (slicing
     laxity, the reference estimators) observe the identical floats.
     """
-    np = _numpy()
     kind = _BATCH_ESTIMATORS[est_name]
     out: list[list[float] | None] = [None] * len(cws)
     pending: list[int] = []
@@ -499,7 +410,7 @@ def vec_estimates_batch(
     valid = np.arange(v_max) < cnt[:, :, None]
     if kind == "avg":
         flat = pad.reshape(L * n_max, v_max)
-        totals = _ordered_sum(np, flat).reshape(L, n_max)
+        totals = _ordered_sum(flat).reshape(L, n_max)
         est = np.divide(
             totals,
             cnt,
@@ -534,7 +445,7 @@ def vec_estimates_batch(
     return out
 
 
-def _batch_levels(np, st, est_pad, n_arr):
+def _batch_levels(st, est_pad, n_arr):
     """Static levels for one lane stack, swept one topo position per step.
 
     Relaxation runs over the reversed topological order exactly like
@@ -617,7 +528,6 @@ def vec_weights_batch(
     downstream stage (slicing's ``succ_w_master``, the EDF windows)
     observes the identical objects.
     """
-    np = _numpy()
     out: list[tuple | None] = [None] * len(cws)
     if not isinstance(metric, (AdaptGMetric, AdaptLMetric)):
         # PURE/NORM weights *are* the estimates — the memoized copy is
@@ -668,7 +578,7 @@ def vec_weights_batch(
             dtype=np.float64,
             count=int(n_arr.sum()),
         )
-    totals = _ordered_sum(np, est_pad)
+    totals = _ordered_sum(est_pad)
 
     # c_thres: the pinned constant, or factor × insertion-order mean.
     if p.c_thres is not None:
@@ -678,7 +588,7 @@ def vec_weights_batch(
 
     ok = np.ones(L, dtype=bool)
     if isinstance(metric, AdaptGMetric):
-        levels = _batch_levels(np, st, est_pad, n_arr)
+        levels = _batch_levels(st, est_pad, n_arr)
         col = np.arange(n_max)
         longest = np.where(col < n_arr[:, None], levels, -np.inf).max(
             axis=1, initial=-np.inf
@@ -711,79 +621,6 @@ def vec_weights_batch(
             )
             cw.weights_cache()[key] = w
     return out
-
-
-def vec_weights(
-    cw: CompiledWorkload,
-    metric,
-    est: Sequence[float],
-    est_key: str | None = None,
-) -> tuple:
-    """Single-workload :func:`kernel_weights` through the array path.
-
-    Falls back to the scalar kernel for lanes the batch flags as
-    erroneous, so exceptions (empty task set, non-positive longest
-    path) surface with the reference types and messages.
-    """
-    out = vec_weights_batch([cw], metric, [est], est_key)[0]
-    if out is None:
-        return kernel_weights(cw, metric, est, est_key)
-    return out
-
-
-# ----------------------------------------------------------------------
-# Slicing: vectorized per-head tail ranking
-# ----------------------------------------------------------------------
-
-#: Minimum tail-set width before the slicing DP hands its candidate
-#: ranking to NumPy — below this the per-op overhead loses to the
-#: scalar scan.
-VEC_TAIL_MIN = 16
-
-
-def vec_tail_rank(
-    tails: Sequence[int],
-    dist: Sequence[float | None],
-    cnt: Sequence[int],
-    dl: Sequence[float],
-    a_h: float,
-    norm: bool,
-) -> tuple[list[int], float, float, int] | None:
-    """Rank one head's candidate tails on vectorized laxity arrays.
-
-    Scores every tail with the reference formula — ``r = (window −
-    Σw)/Σw`` (NORM) or ``/length`` — then selects the minimum under the
-    (r, −Σw, −length) prefix of the selection order with staged masked
-    comparisons.  Returns ``(tied_tails, r, Σw, length)`` where
-    ``tied_tails`` holds every tail still tied after the three float
-    stages, **in the scan order of the caller**; the caller resolves
-    the final path-lexicographic tie-break scalar-side (it needs the DP
-    parent chain).  Returns ``None`` when NORM meets a non-positive
-    path weight, so the caller raises the reference ``MetricError``.
-    """
-    np = _numpy()
-    t = np.asarray(tails, dtype=np.int64)
-    total_w = np.array([dist[i] for i in tails], dtype=np.float64)
-    length = np.array([cnt[i] for i in tails], dtype=np.int64)
-    window = np.array([dl[i] for i in tails], dtype=np.float64) - a_h
-    if norm:
-        if bool((total_w <= 0.0).any()):
-            return None
-        r = (window - total_w) / total_w
-    else:
-        r = (window - total_w) / length
-    best_r = r.min()
-    m1 = r == best_r
-    best_w = total_w[m1].max()
-    m2 = m1 & (total_w == best_w)
-    best_len = int(length[m2].max())
-    m3 = m2 & (length == best_len)
-    return (
-        [int(i) for i in t[m3]],
-        float(best_r),
-        float(best_w),
-        best_len,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -859,7 +696,6 @@ def vec_schedule_edf_batch(
     can share one lockstep call — the seed-batch driver folds every
     series of a chunk into a single invocation this way.
     """
-    np = _numpy()
     per_lane_cont = not isinstance(continue_on_miss, bool)
 
     def _cont(li: int) -> bool:
@@ -929,19 +765,13 @@ def vec_schedule_edf_batch(
             )
         else:
             stop_on_miss = np.full(L, not continue_on_miss, dtype=bool)
-        fastmath = vec_fastmath()
 
         # EDF priorities are static — a task's (deadline, id-rank) pop
         # key never changes while it waits — so sort each lane's tasks
         # once and keep the ready set as a bitmap *in priority
         # coordinates*.  The pop is then a single boolean argmax (first
         # ready task in priority order), exactly the heap's minimum.
-        # Fast-math keeps only the deadline key: a stable argsort makes
-        # deadline ties resolve by array position instead of id rank.
-        if fastmath:
-            order = np.argsort(win_d, axis=1, kind="stable")
-        else:
-            order = np.lexsort((rank, win_d), axis=1)
+        order = np.lexsort((rank, win_d), axis=1)
         inv_order = np.empty_like(order)
         np.put_along_axis(
             inv_order,
@@ -1227,10 +1057,8 @@ def batch_supported(config: "TrialConfig") -> bool:
 
     The kernel envelope plus a batchable estimator; anything else is
     judged per trial by :func:`repro.experiments.runner.run_trial`
-    (which itself dispatches vec → kernel → reference per config).
+    (which itself dispatches kernel → reference per config).
     """
-    from .trial import kernel_supported
-
     if not kernel_supported(config):
         return False
     try:
@@ -1238,6 +1066,29 @@ def batch_supported(config: "TrialConfig") -> bool:
     except Exception:
         return False
     return est.name in _BATCH_ESTIMATORS
+
+
+def batch_engages(
+    cells: Sequence[tuple[int, "TrialConfig"]],
+    lanes: int,
+    use_kernel: bool | None = None,
+) -> bool:
+    """Whether a block of *lanes* seeds over *cells* runs through
+    :func:`paired_outcomes` — the one rule every front door shares.
+
+    The kernel must be enabled (``use_kernel``, defaulting to the
+    ``REPRO_KERNEL`` switch, so the reference oracle stays reachable),
+    the block at least :data:`VEC_MIN_LANES` seeds wide, every series
+    on one workload family (one shared workload per seed), and some
+    series batchable.  The outcomes never depend on the answer.
+    """
+    use_k = use_kernel if use_kernel is not None else kernel_enabled()
+    return (
+        use_k
+        and lanes >= VEC_MIN_LANES
+        and len({config.workload for _si, config in cells}) == 1
+        and any(batch_supported(config) for _si, config in cells)
+    )
 
 
 def paired_outcomes(
@@ -1253,17 +1104,17 @@ def paired_outcomes(
     each supported series the weight stage runs as one
     :func:`vec_weights_batch` across the seed lanes and the EDF stage
     as one :func:`vec_schedule_edf_batch`; slicing (inherently
-    sequential at trial size) runs per lane through the compiled DP
-    with vectorized tail ranking.  Lanes the batch flags as erroneous,
-    and unsupported series, fall back to the per-trial dispatcher in
-    ``(seed, series)`` nested order, so any exception surfaces exactly
-    where the sequential loop would raise it.
+    sequential at trial size) runs per lane through the compiled DP.
+    Any lane count works here; callers gate on :func:`batch_engages`.
+    Lanes the batch flags as erroneous, and unsupported series, fall
+    back to the per-trial dispatcher in ``(seed, series)`` nested
+    order, so any exception surfaces exactly where the sequential loop
+    would raise it.
 
     Returns ``{(series_index, seed_position): TrialOutcome}`` with the
     same floats the sequential loop produces.
     """
     from ..experiments.spec import TrialOutcome
-    from .slicing import kernel_slice
 
     out: dict[tuple[int, int], "TrialOutcome"] = {}
     cws = [ctx.compiled for ctx in contexts]
@@ -1301,7 +1152,7 @@ def paired_outcomes(
             if ests[sp] is None or weights[sp] is None:
                 scalar_lanes.add((si, sp))
                 continue
-            ka = kernel_slice(cws[sp], metric, weights[sp], use_vec=True)
+            ka = kernel_slice(cws[sp], metric, weights[sp])
             lane_rows[sp] = ka
             edf_lanes.append((si, sp))
             edf_args.append((cws[sp], ka.win_a, ka.win_d))

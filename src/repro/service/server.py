@@ -262,17 +262,17 @@ class DeadlineAssignmentService:
         """Compute one micro-batcher flush, batch-first.
 
         Lanes inside the vectorized envelope — compiled-kernel metric,
-        batchable WCET-* estimator, NumPy importable, ``REPRO_KERNEL``
-        not disabled — share one :func:`vec_estimates_batch` +
-        :func:`vec_weights_batch` array pass per (metric, estimator)
-        group before running the per-lane slicing DP, exactly the
-        stages :func:`distribute_deadlines`'s kernel path runs
-        per-request.  Everything else — and every lane when fewer than
+        batchable WCET-* estimator, ``REPRO_KERNEL`` not disabled —
+        share one :func:`vec_estimates_batch` + :func:`vec_weights_batch`
+        array pass per (metric, estimator) group before running the
+        per-lane slicing DP, exactly the stages
+        :func:`distribute_deadlines`'s kernel path runs per-request.
+        Everything else — and every lane when fewer than
         :data:`VEC_FLUSH_MIN` are eligible — falls back to the scalar
-        :meth:`_compute`, so unsupported metrics, validation errors and
-        NumPy-less deployments behave verbatim like the per-request
-        path.  Returns one result-or-exception per request, in order
-        (the :class:`MicroBatcher` flush contract).
+        :meth:`_compute`, so unsupported metrics and validation errors
+        behave verbatim like the per-request path.  Returns one
+        result-or-exception per request, in order (the
+        :class:`MicroBatcher` flush contract).
         """
         results: list = [None] * len(requests)
         plan: list = [None] * len(requests)
@@ -317,9 +317,9 @@ class DeadlineAssignmentService:
         tier, else ``None`` (the scalar path decides everything)."""
         from ..kernel import KERNEL_METRIC_TYPES
         from ..kernel.trial import kernel_enabled
-        from ..kernel.vec import estimator_batch_supported, vec_available
+        from ..kernel.vec import estimator_batch_supported
 
-        if not (kernel_enabled() and vec_available()):
+        if not kernel_enabled():
             return None
         try:
             metric_obj = get_metric(request.metric, request.params)

@@ -2,9 +2,11 @@
 
 Covers the operational contract around the fast path: the environment
 switch is read per call and round-trips through the CLI with
-byte-identical reports, the ``paired-ref`` engine pins a run to the
-reference pipeline, and a single dispatched work unit never pays for a
-process pool (the warm-cache tail regression).
+byte-identical reports, it turns off the seed-batch driver too (so
+``REPRO_KERNEL=0`` really runs the reference oracle), the
+``paired-ref`` engine pins a run to the reference pipeline, and a
+single dispatched work unit never pays for a process pool (the
+warm-cache tail regression).
 """
 
 import json
@@ -13,9 +15,14 @@ import re
 import pytest
 
 import repro.experiments.runner as runner_mod
+import repro.kernel as kernel_pkg
+import repro.kernel.slicing as slicing_mod
+import repro.kernel.trial as trial_mod
+import repro.kernel.vec as vec_mod
 from repro.cli import main
 from repro.experiments import ExperimentSpec, TrialConfig, run_experiment
-from repro.experiments.runner import _resolve_jobs
+from repro.experiments.runner import _resolve_jobs, run_paired_cells
+from repro.fabric import compute_unit, compute_units, extract_units
 from repro.kernel.trial import kernel_enabled
 from repro.workload import WorkloadParams
 
@@ -78,6 +85,54 @@ class TestEnvSwitch:
             docs[flag] = json.dumps(doc, sort_keys=True)
         assert reports["0"] == reports["1"]
         assert docs["0"] == docs["1"]
+
+
+def _count_kernel_slice(monkeypatch) -> list:
+    """Count every ``kernel_slice`` call, whichever module binds it."""
+    calls = []
+    original = slicing_mod.kernel_slice
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (slicing_mod, trial_mod, kernel_pkg, vec_mod):
+        if hasattr(module, "kernel_slice"):
+            monkeypatch.setattr(module, "kernel_slice", counting)
+    return calls
+
+
+class TestKernelOffReachesOracle:
+    """``REPRO_KERNEL=0`` must keep a block wide enough for the
+    seed-batch driver on the reference pipeline: zero compiled slicing
+    DP calls, whichever front door judges it."""
+
+    @staticmethod
+    def _judge(door, units):
+        if door == "run_paired_cells":
+            run_paired_cells(list(units[0].cells), list(units[0].seeds))
+        elif door == "compute_unit":
+            compute_unit(units[0])
+        else:
+            compute_units(units)
+
+    @pytest.mark.parametrize(
+        "door", ["run_paired_cells", "compute_unit", "compute_units"]
+    )
+    def test_wide_block_makes_no_kernel_slice_calls(self, door, monkeypatch):
+        trials = vec_mod.VEC_MIN_LANES
+        # compute_units coalesces two half-width units into one block.
+        chunk = trials // 2 if door == "compute_units" else trials
+        units = extract_units(_tiny_spec(), trials=trials, seed=5,
+                              chunk_size=chunk)
+        calls = _count_kernel_slice(monkeypatch)
+        monkeypatch.setenv("REPRO_KERNEL", "1")
+        self._judge(door, units)
+        assert calls  # the counter sees the kernel when it is on
+        calls.clear()
+        monkeypatch.setenv("REPRO_KERNEL", "0")
+        self._judge(door, units)
+        assert calls == []
 
 
 class TestPairedRefEngine:

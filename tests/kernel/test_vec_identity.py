@@ -1,14 +1,15 @@
 """Vectorized-tier bit-identity against the reference oracle.
 
 The third tier's contract, mirrored from ``test_bit_identity``: for
-every configuration inside the kernel envelope,
-``run_trial(use_vec=True)`` equals ``run_trial(use_kernel=False)``
-field for field on the default tie-break — across the same randomized
-workload sweep, through the seed-batch driver, and through every error
-and fallback branch (``_average_parallelism`` failures, NumPy absent).
+every configuration inside the kernel envelope, the seed-batch driver
+(:func:`repro.kernel.vec.paired_outcomes`) produces the outcomes of
+``run_trial(use_kernel=False)`` field for field — across the same
+randomized workload sweep run as batch lanes, through
+:func:`run_paired_cells`, and through the error lanes the batched
+weight stage hands back to the scalar retry.
 """
 
-import math
+from dataclasses import replace
 
 import pytest
 
@@ -33,30 +34,58 @@ from .test_bit_identity import (
 )
 
 
+def _params(ws: int) -> WorkloadParams:
+    return WorkloadParams(m=2 + ws % 5, **SHAPES[ws % len(SHAPES)])
+
+
 @pytest.mark.parametrize("indices", _chunks(), ids=lambda r: f"ws{r.start}")
 def test_vec_trial_outcomes_bit_identical(indices):
-    """The 208-workload sweep, vectorized tier vs reference oracle."""
-    for ws in indices:
-        shape = SHAPES[ws % len(SHAPES)]
-        params = WorkloadParams(m=2 + ws % 5, **shape)
-        context = TrialContext.from_seed(params, 7000 + ws)
-        estimator = ESTIMATORS[ws % len(ESTIMATORS)]
-        for metric in METRIC_NAMES:
-            for lateness in (False, True):
-                config = TrialConfig(
-                    workload=params,
+    """The 208-workload sweep as lanes of the seed-batch driver, every
+    metric in both miss modes, with and without the contention bus,
+    against the reference oracle.
+
+    Lanes of one call share an estimator but not a workload family:
+    the driver takes each lane's workload from its context, and of the
+    series' :class:`WorkloadParams` it reads only the bus delay, which
+    no shape varies.  Mixed families also put lanes of different
+    processor counts through one lockstep EDF call.
+    """
+    for estimator in ESTIMATORS:
+        lanes = [ws for ws in indices if ESTIMATORS[ws % 3] == estimator]
+        family = _params(lanes[0])
+        assert {_params(ws).bus_delay_per_item for ws in lanes} == {
+            family.bus_delay_per_item
+        }
+        cells = list(
+            enumerate(
+                TrialConfig(
+                    workload=family,
                     metric=metric,
                     estimator=estimator,
                     measure_lateness=lateness,
+                    contention_bus=bus,
                 )
-                ref = run_trial(config, 7000 + ws, context, use_kernel=False)
-                fast = run_trial(
-                    config, 7000 + ws, context, use_kernel=True, use_vec=True
-                )
+                for metric in METRIC_NAMES
+                for lateness in (False, True)
+                for bus in (False, True)
+            )
+        )
+        seeds = [7000 + ws for ws in lanes]
+        contexts = [
+            TrialContext.from_seed(_params(ws), 7000 + ws) for ws in lanes
+        ]
+        outcomes = vec.paired_outcomes(cells, seeds, contexts)
+        for sp, ws in enumerate(lanes):
+            for si, config in cells:
+                own = replace(config, workload=_params(ws))
+                ref = run_trial(own, seeds[sp], contexts[sp], use_kernel=False)
+                fast = outcomes[(si, sp)]
                 for name in OUTCOME_FIELDS:
                     assert _same(getattr(ref, name), getattr(fast, name)), (
-                        f"workload {ws} (m={params.m}, shape={shape}), "
-                        f"{metric}/{estimator}, lateness={lateness}: "
+                        f"workload {ws} (m={own.workload.m}), "
+                        f"{config.metric}/{estimator}, "
+                        f"lateness={config.measure_lateness}, "
+                        f"bus={config.contention_bus}: "
                         f"{name} {getattr(ref, name)!r} != "
                         f"{getattr(fast, name)!r}"
                     )
@@ -74,10 +103,10 @@ def _cell_fields(result):
 
 
 def test_batch_driver_equals_sequential_loop():
-    """``run_paired_cells(use_vec=True)`` — the seed-batch driver with a
-    mixed-series chunk (fail-fast, lateness, contention bus, and a
-    non-batchable strict-locality series) — aggregates bit-identically
-    to the sequential per-trial loop."""
+    """``run_paired_cells`` on a block wide enough to engage the batch
+    driver — a mixed-series chunk (fail-fast, lateness, contention bus,
+    and a non-batchable strict-locality series) — aggregates
+    bit-identically to the sequential reference loop."""
     params = WorkloadParams(m=3, n_tasks_range=(8, 16), depth_range=(3, 6))
     cells = [
         (0, TrialConfig(workload=params, metric="PURE")),
@@ -89,23 +118,19 @@ def test_batch_driver_equals_sequential_loop():
         (4, TrialConfig(workload=params, metric="ADAPT-L",
                         locality="strict")),
     ]
-    seeds = list(range(4100, 4124))
-    batch = run_paired_cells(cells, seeds, use_vec=True)
-    seq = run_paired_cells(cells, seeds, use_vec=False)
+    seeds = list(range(4100, 4100 + vec.VEC_MIN_LANES))
+    assert vec.batch_engages(cells, len(seeds))
+    batch = run_paired_cells(cells, seeds)
+    seq = run_paired_cells(cells, seeds, use_kernel=False)
     assert [si for si, _ in batch] == [si for si, _ in seq]
     for (_, b), (_, s) in zip(batch, seq):
         for bv, sv in zip(_cell_fields(b), _cell_fields(s)):
             assert _same(bv, sv), (b, s)
 
 
-@pytest.mark.skipif(
-    not vec.vec_available(),
-    reason="exercises the vec batch API directly, which requires NumPy "
-    "(dispatch-level fallback is covered by TestNumpyAbsentFallback)",
-)
 class TestAverageParallelismErrorBranches:
-    """The vec weight batch flags error lanes (no cache write) and the
-    scalar retry raises the reference exceptions verbatim."""
+    """The vec weight batch flags error lanes ``None`` (no cache write)
+    and the scalar retry raises the reference exceptions verbatim."""
 
     def test_longest_path_nonpositive(self, chain3):
         cw = compile_workload(chain3, identical_platform(2))
@@ -115,75 +140,12 @@ class TestAverageParallelismErrorBranches:
         assert flagged == [None]
         assert not cw.weights_cache()  # error lanes never cache
         with pytest.raises(GraphError, match="longest path"):
-            vec.vec_weights(cw, metric, zeros, "WCET-AVG")
-        with pytest.raises(GraphError, match="longest path"):
             kernel_weights(cw, metric, zeros, "WCET-AVG")
 
     def test_empty_graph(self):
         cw = compile_workload(TaskGraph(), identical_platform(2))
         metric = get_metric("ADAPT-G", None)
         assert vec.vec_weights_batch([cw], metric, [[]], "WCET-AVG") == [None]
+        assert not cw.weights_cache()
         with pytest.raises(GraphError, match="empty graph"):
-            vec.vec_weights(cw, metric, [], "WCET-AVG")
-
-
-class TestNumpyAbsentFallback:
-    def _config(self):
-        return TrialConfig(
-            workload=WorkloadParams(m=3, n_tasks_range=(8, 14)),
-            metric="ADAPT-G",
-        )
-
-    def test_monkeypatched_import_failure_falls_back(self, monkeypatch):
-        """A failed ``import numpy`` leaves every entry point reporting
-        unavailable and the dispatcher bit-identical via the kernel."""
-        monkeypatch.setattr(vec, "_np", None)
-        monkeypatch.setattr(vec, "_np_checked", True)
-        assert not vec.vec_available()
-        config = self._config()
-        ref = run_trial(config, 1234, use_kernel=False)
-        out = run_trial(config, 1234, use_kernel=True, use_vec=True)
-        for name in OUTCOME_FIELDS:
-            assert _same(getattr(ref, name), getattr(out, name)), name
-
-    def test_no_numpy_env_knob(self, monkeypatch):
-        """``REPRO_VEC_NO_NUMPY=1`` (the CI fallback leg) forces the
-        absent answer without touching the real import state."""
-        monkeypatch.setenv("REPRO_VEC_NO_NUMPY", "1")
-        assert not vec.vec_available()
-        config = self._config()
-        ref = run_trial(config, 99, use_kernel=False)
-        out = run_trial(config, 99, use_kernel=True, use_vec=True)
-        for name in OUTCOME_FIELDS:
-            assert _same(getattr(ref, name), getattr(out, name)), name
-        monkeypatch.delenv("REPRO_VEC_NO_NUMPY")
-        assert vec.vec_available()
-
-    def test_batch_driver_falls_back_sequential(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VEC_NO_NUMPY", "1")
-        params = WorkloadParams(m=3, n_tasks_range=(8, 14))
-        cells = [(0, TrialConfig(workload=params, metric="PURE"))]
-        seeds = list(range(300, 308))
-        absent = run_paired_cells(cells, seeds, use_vec=True)
-        monkeypatch.delenv("REPRO_VEC_NO_NUMPY")
-        present = run_paired_cells(cells, seeds, use_vec=True)
-        assert _cell_fields(absent[0][1]) == _cell_fields(present[0][1])
-
-
-def test_fastmath_smoke(monkeypatch):
-    """``REPRO_VEC_FASTMATH=1`` may relax tie-break order but must stay
-    deterministic and structurally sound."""
-    monkeypatch.setenv("REPRO_VEC_FASTMATH", "1")
-    params = WorkloadParams(m=3, n_tasks_range=(10, 18))
-    config = TrialConfig(workload=params, metric="ADAPT-L")
-    for seed in range(5600, 5608):
-        ref = run_trial(config, seed, use_kernel=False)
-        one = run_trial(config, seed, use_kernel=True, use_vec=True)
-        two = run_trial(config, seed, use_kernel=True, use_vec=True)
-        assert one.n_tasks == ref.n_tasks
-        assert isinstance(one.success, bool)
-        for name in OUTCOME_FIELDS:
-            assert _same(getattr(one, name), getattr(two, name)), name
-        assert math.isnan(one.max_lateness) or isinstance(
-            one.max_lateness, float
-        )
+            kernel_weights(cw, metric, [], "WCET-AVG")
