@@ -81,9 +81,9 @@ examples:
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/serve_smoke.py
 
-# serve-smoke plus the pooled-topology leg: asyncio front end + 2
-# pre-forked workers, keep-alive pipelining, one forced 429, bounded
-# drain.
+# serve-smoke plus the pooled-topology leg: the same HTTP server over
+# a 2-worker pre-forked pool, keep-alive pipelining, one forced 429,
+# bounded drain.
 serve-pool-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/serve_smoke.py --workers 2
 

@@ -5,11 +5,11 @@ Three phases:
 
 1. **Duplicate-heavy replay, both topologies** — the correctness gate.
    The same deterministic request stream (distinct workloads first,
-   then their duplicates) runs against the in-process single server and
-   against the pooled front end (``--workers N``); every response body
+   then their duplicates) runs against the server over the in-process
+   backend and over a worker pool (``--workers N``); every response body
    must be byte-identical across topologies and the ``/metrics``
    totals for ``computed``/``coalesced``/``cache_hits`` must match.
-   Hard failure if not — this is the pooled stack's equivalence proof,
+   Hard failure if not — this is the pooled backend's equivalence proof,
    and it runs on every host including single-CPU CI.
 2. **Throughput, single process** — distinct compute-bound workloads
    over keep-alive client connections; records req/s.  When
@@ -51,7 +51,6 @@ from repro.graph import graph_to_dict
 from repro.rng import make_rng
 from repro.service import (
     DeadlineAssignmentService,
-    PooledFrontend,
     WorkerPool,
     create_server,
 )
@@ -81,47 +80,38 @@ def request_bodies(count: int, *, n_tasks: int = 40) -> list[bytes]:
 
 
 class Endpoint:
-    """One live serving topology (context manager)."""
+    """One live serving topology (context manager): the HTTP server
+    over the in-process backend (``single``) or a worker pool."""
 
     def __init__(self, kind: str, workers: int, clients: int) -> None:
         self.kind = kind
         self.workers = workers
         self.clients = clients
-        self._service = None
-        self._server = None
-        self._thread = None
-        self._frontend = None
 
     def __enter__(self) -> "Endpoint":
         if self.kind == "single":
-            self._service = DeadlineAssignmentService(
+            backend = DeadlineAssignmentService(
                 cache_size=4096, batch_size=8, batch_wait=0.001, workers=4
             )
-            self._server = create_server(port=0, service=self._service)
-            self._thread = threading.Thread(
-                target=self._server.serve_forever, daemon=True
-            )
-            self._thread.start()
-            self.host, self.port = self._server.server_address[:2]
         else:
-            self._frontend = PooledFrontend(
-                WorkerPool(
-                    self.workers, cache_size=4096, batch_size=8,
-                    batch_wait=0.001, threads=4,
-                )
+            backend = WorkerPool(
+                self.workers, cache_size=4096, batch_size=8,
+                batch_wait=0.001, threads=4,
             )
-            self._frontend.start(timeout=180.0)
-            self.host, self.port = self._frontend.address
+            backend.start(timeout=180.0)
+        self._server = create_server(port=0, service=backend)
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, daemon=True
+        )
+        self._thread.start()
+        self.host, self.port = self._server.server_address[:2]
         return self
 
     def __exit__(self, *exc_info) -> None:
-        if self._frontend is not None:
-            self._frontend.close(timeout=10.0)
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._service.close(timeout=10.0)
-            self._thread.join(timeout=5.0)
+        self._server.shutdown()
+        self._server.server_close()
+        self._server.service.close(timeout=10.0)
+        self._thread.join(timeout=5.0)
 
     # ------------------------------------------------------------------
     def replay_sequential(self, bodies: list[bytes]) -> list[bytes]:

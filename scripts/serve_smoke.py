@@ -4,9 +4,9 @@
 Starts a server on an ephemeral port, POSTs one assignment twice (the
 second must be a cache hit), scrapes ``/metrics``, and shuts down.
 With ``--workers N`` (N ≥ 2) a second leg repeats the exercise against
-the pooled topology — asyncio front end + pre-forked workers — over
-one keep-alive connection, forces a 429 + ``Retry-After`` out of a
-saturated one-worker pool, and checks the drain stays bounded.
+the pooled topology — the same HTTP server over N pre-forked workers —
+over one keep-alive connection, forces a 429 + ``Retry-After`` out of
+a saturated one-worker pool, and checks the drain stays bounded.
 Prints ``OK`` and exits 0 on success; any failure exits non-zero.
 
 Run via ``make serve-smoke`` / ``make serve-pool-smoke`` or directly::
@@ -27,7 +27,6 @@ import urllib.request
 from repro.graph import chain_graph, graph_to_dict
 from repro.service import (
     DeadlineAssignmentService,
-    PooledFrontend,
     WorkerPool,
     create_server,
 )
@@ -47,13 +46,28 @@ def smoke_body() -> bytes:
     ).encode()
 
 
-def single_process_smoke() -> int:
-    service = DeadlineAssignmentService()
-    server = create_server(port=0, service=service)
-    host, port = server.server_address[:2]
-    base = f"http://{host}:{port}"
+def serve(backend, **server_kwargs):
+    """Serve *backend* on an ephemeral port; returns ``(server, thread)``."""
+    if isinstance(backend, WorkerPool):
+        backend.start(timeout=120.0)
+    server = create_server(port=0, service=backend, **server_kwargs)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
+    return server, thread
+
+
+def stop(server, thread, timeout: float | None = None) -> None:
+    """Stop accepting, then drain the backend (``repro serve``'s order)."""
+    server.shutdown()
+    server.server_close()
+    server.service.close(timeout=timeout)
+    thread.join(timeout=5)
+
+
+def single_process_smoke() -> int:
+    server, thread = serve(DeadlineAssignmentService())
+    host, port = server.server_address[:2]
+    base = f"http://{host}:{port}"
     try:
         body = smoke_body()
 
@@ -89,10 +103,7 @@ def single_process_smoke() -> int:
         print(f"serve-smoke: FAIL: {exc}", file=sys.stderr)
         return 1
     finally:
-        server.shutdown()
-        server.server_close()
-        service.close()
-        thread.join(timeout=5)
+        stop(server, thread)
     print(f"serve-smoke: OK ({base}/assign answered, cache hit, metrics sane)")
     return 0
 
@@ -102,9 +113,8 @@ def pooled_smoke(workers: int) -> int:
     body = smoke_body()
 
     # Leg A: keep-alive pipelining against a real multi-worker pool.
-    frontend = PooledFrontend(WorkerPool(workers))
-    frontend.start(timeout=120.0)
-    host, port = frontend.address
+    server, thread = serve(WorkerPool(workers))
+    host, port = server.server_address[:2]
     try:
         conn = http.client.HTTPConnection(host, port, timeout=60)
         try:
@@ -148,16 +158,15 @@ def pooled_smoke(workers: int) -> int:
         print(f"serve-smoke: FAIL (pooled): {exc}", file=sys.stderr)
         return 1
     finally:
-        frontend.close(timeout=10.0)
+        stop(server, thread, timeout=10.0)
 
     # Leg B: saturate a deliberately slow one-worker pool; at least one
-    # request must be shed with 429 + Retry-After, and closing the
-    # front end mid-flight must stay bounded (the drain contract).
-    frontend = PooledFrontend(
+    # request must be shed with 429 + Retry-After, and shutting the
+    # server down mid-flight must stay bounded (the drain contract).
+    server, thread = serve(
         WorkerPool(1, max_queue=1, compute_delay=0.5), retry_after=3
     )
-    frontend.start(timeout=120.0)
-    host, port = frontend.address
+    host, port = server.server_address[:2]
     statuses: list[tuple[int, str | None]] = []
     lock = threading.Lock()
 
@@ -200,11 +209,11 @@ def pooled_smoke(workers: int) -> int:
                 assert retry_after == "3", "429 without Retry-After: 3"
     except AssertionError as exc:
         print(f"serve-smoke: FAIL (backpressure): {exc}", file=sys.stderr)
-        frontend.close(timeout=10.0)
+        stop(server, thread, timeout=10.0)
         return 1
 
     started = time.monotonic()
-    frontend.close(timeout=2.0)
+    stop(server, thread, timeout=2.0)
     drain = time.monotonic() - started
     if drain > 30.0:
         print(f"serve-smoke: FAIL: drain took {drain:.1f}s", file=sys.stderr)

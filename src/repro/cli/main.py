@@ -198,7 +198,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         type=int,
         default=default_workers(),
         help="worker processes serving assignments (default "
-        "min(cpu_count, 4)); 1 runs the in-process single-server path",
+        "min(cpu_count, 4)); 1 computes in the server process",
     )
     parser.add_argument(
         "--threads",
@@ -232,14 +232,14 @@ def build_serve_parser() -> argparse.ArgumentParser:
 def serve_main(argv: list[str] | None = None) -> int:
     """Entry point of ``repro serve``.
 
-    ``--workers 1`` serves in-process on the stdlib threading server
-    (today's exact path); ``--workers N`` pre-forks N assignment worker
-    processes behind the asyncio front end.  Service knobs are
+    One stdlib threading HTTP server over one backend: ``--workers 1``
+    computes in-process, ``--workers N`` hands request bodies to N
+    pre-forked assignment worker processes.  Service knobs are
     validated up front in either case, so a bad ``--cache-size`` fails
     fast instead of inside a spawned worker.
     """
     args = build_serve_parser().parse_args(argv)
-    from ..service import DeadlineAssignmentService, create_server
+    from ..service import DeadlineAssignmentService, WorkerPool, create_server
 
     if args.workers < 1:
         print(
@@ -249,7 +249,7 @@ def serve_main(argv: list[str] | None = None) -> int:
         return 2
     max_queue = args.max_queue if args.max_queue > 0 else None
     try:
-        service = DeadlineAssignmentService(
+        backend = DeadlineAssignmentService(
             cache_size=args.cache_size,
             batch_size=args.batch_size,
             batch_wait=args.batch_wait,
@@ -261,23 +261,41 @@ def serve_main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.workers > 1:
-        service.close()
-        return _serve_pooled(args, max_queue)
+        backend.close()
+        backend = WorkerPool(
+            args.workers,
+            cache_size=args.cache_size,
+            batch_size=args.batch_size,
+            batch_wait=args.batch_wait,
+            threads=args.threads,
+            max_queue=max_queue,
+            cache_dir=args.cache_dir,
+        )
     try:
         server = create_server(
-            args.host, args.port, service, retry_after=args.retry_after
+            args.host, args.port, backend, retry_after=args.retry_after
         )
     except OSError as exc:
         print(
             f"error: cannot bind {args.host}:{args.port}: {exc}",
             file=sys.stderr,
         )
-        service.close()
+        backend.close()
         return 1
+    topology = ""
+    if args.workers > 1:
+        topology = f"{args.workers} worker processes; "
+        try:
+            backend.start()
+        except RuntimeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            server.server_close()
+            return 1
     host, port = server.server_address[:2]
     print(
         f"repro deadline-assignment service on http://{host}:{port} "
-        "(POST /assign, GET /healthz, GET /metrics; Ctrl-C to stop)"
+        f"({topology}POST /assign, GET /healthz, GET /metrics; "
+        "Ctrl-C to stop)"
     )
     try:
         server.serve_forever()
@@ -285,54 +303,7 @@ def serve_main(argv: list[str] | None = None) -> int:
         pass
     finally:
         server.server_close()
-        service.close(timeout=args.drain_timeout)
-    return 0
-
-
-def _serve_pooled(args, max_queue: int | None) -> int:
-    """Run the asyncio front end over a pre-forked worker pool."""
-    import threading
-
-    from ..service import PooledFrontend, WorkerPool
-
-    pool = WorkerPool(
-        args.workers,
-        cache_size=args.cache_size,
-        batch_size=args.batch_size,
-        batch_wait=args.batch_wait,
-        threads=args.threads,
-        max_queue=max_queue,
-        cache_dir=args.cache_dir,
-    )
-    frontend = PooledFrontend(
-        pool,
-        host=args.host,
-        port=args.port,
-        retry_after=args.retry_after,
-    )
-    try:
-        frontend.start()
-    except OSError as exc:
-        print(
-            f"error: cannot bind {args.host}:{args.port}: {exc}",
-            file=sys.stderr,
-        )
-        return 1
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    host, port = frontend.address
-    print(
-        f"repro deadline-assignment service on http://{host}:{port} "
-        f"({args.workers} worker processes; POST /assign, GET /healthz, "
-        "GET /metrics; Ctrl-C to stop)"
-    )
-    try:
-        threading.Event().wait()  # serve until interrupted
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        pass
-    finally:
-        frontend.close(timeout=args.drain_timeout)
+        backend.close(timeout=args.drain_timeout)
     return 0
 
 

@@ -1,6 +1,6 @@
 """HTTP face of the fabric: lease/commit endpoints for remote workers.
 
-Mounted on the :mod:`repro.service` front end (``create_server(...,
+Mounted on the :mod:`repro.service` HTTP server (``create_server(...,
 fabric=endpoint)``), this turns the coordinator's store directory into
 a *served store*: remote workers never see the filesystem — they pull
 unit payloads from ``POST /fabric/lease`` and push result records to
@@ -11,15 +11,15 @@ Routes (JSON in/out, errors as ``{"error": ...}`` with 4xx):
 
 ==========================  ==========================================
 ``POST /fabric/lease``      ``{worker, ttl?, max?}`` →
-                            ``{units, unit, finished}`` — up to ``max``
-                            unit payloads per call (batched leasing);
-                            ``unit`` carries the first payload for
-                            pre-batch clients
-``POST /fabric/complete``   ``{worker, units | unit, records}`` →
-                            ``{done}`` — one group commit for a whole
-                            batch: records append before any done mark
+                            ``{units, finished}`` — up to ``max``
+                            unit payloads per call (batched leasing)
+``POST /fabric/complete``   ``{worker, units, records}`` →
+                            ``{done, appended, finished}`` — one group
+                            commit for a whole batch: records append
+                            before any done mark; ``done`` counts the
+                            units that transitioned
 ``POST /fabric/heartbeat``  ``{worker, ttl?}`` → ``{extended}``
-``POST /fabric/release``    ``{worker, units | unit}`` → ``{}``
+``POST /fabric/release``    ``{worker, units}`` → ``{}``
 ``GET  /fabric/status``     → queue snapshot (counts, workers, finished)
 ==========================  ==========================================
 
@@ -81,7 +81,7 @@ class FabricEndpoint:
         """Dispatch one ``/fabric/*`` request; returns (status, body).
 
         :class:`FabricError` means a bad request (the HTTP layer maps
-        it to 400); unknown routes return 404 here so the front end
+        it to 400); unknown routes return 404 here so the HTTP server
         stays route-agnostic.
         """
         if method == "GET" and path == "/fabric/status":
@@ -119,15 +119,12 @@ class FabricEndpoint:
         return min(max(ttl, _MIN_TTL), _MAX_TTL)
 
     def _units_of(self, doc: dict[str, Any]) -> list[str]:
-        """The unit ids a complete/release names (batch or legacy form)."""
-        if "units" in doc:
-            unit_ids = doc["units"]
-            if not isinstance(unit_ids, list) or not all(
-                isinstance(uid, str) for uid in unit_ids
-            ):
-                raise FabricError("'units' must be a list of unit ids")
-        else:
-            unit_ids = [doc.get("unit")]
+        """The unit ids a complete/release names."""
+        unit_ids = doc.get("units")
+        if not isinstance(unit_ids, list) or not all(
+            isinstance(uid, str) for uid in unit_ids
+        ):
+            raise FabricError("'units' must be a list of unit ids")
         for unit_id in unit_ids:
             if unit_id not in self._unit_keys:
                 raise FabricError(f"unknown unit {str(unit_id)[:12]!r}...")
@@ -142,16 +139,11 @@ class FabricEndpoint:
             raise FabricError(f"bad lease batch size {k!r}")
         unit_ids = self.queue.lease_batch(worker, min(k, _MAX_BATCH), ttl)
         if not unit_ids:
-            return 200, {
-                "units": [],
-                "unit": None,
-                "finished": self.queue.finished(),
-            }
+            return 200, {"units": [], "finished": self.queue.finished()}
         if self.metrics is not None:
             self.metrics.fabric_leases.inc(len(unit_ids), worker=worker)
         docs = [self._unit_docs[uid] for uid in unit_ids]
-        # "unit" duplicates the first payload for pre-batch clients.
-        return 200, {"units": docs, "unit": docs[0], "finished": False}
+        return 200, {"units": docs, "finished": False}
 
     def _complete(self, doc: dict[str, Any]) -> tuple[int, dict[str, Any]]:
         worker = self._worker_of(doc)
@@ -181,11 +173,8 @@ class FabricEndpoint:
                 self.metrics.fabric_completions.inc(transitions)
             if appended:
                 self.metrics.fabric_records.inc(appended)
-        # Legacy single-"unit" clients read "done" as a bool; batch
-        # clients get the transition count.
-        done: int | bool = transitions if "units" in doc else bool(transitions)
         return 200, {
-            "done": done,
+            "done": transitions,
             "appended": appended,
             "finished": self.queue.finished(),
         }

@@ -11,7 +11,7 @@ Two ways for a worker to participate in a sweep:
 * :class:`HTTPTransport` — the worker only reaches the coordinator
   over HTTP: leases are pulled from and results pushed to the
   ``/fabric/*`` endpoints that the coordinator mounts on the
-  :mod:`repro.service` front end (the *served store*: remote workers
+  :mod:`repro.service` HTTP server (the *served store*: remote workers
   never touch the store directory, the coordinator commits on their
   behalf).  This is the ``repro sweep --connect URL`` mode.
 
@@ -249,9 +249,8 @@ class HTTPTransport:
             return []
         self._finished = bool(reply.get("finished"))
         unit_docs = reply.get("units")
-        if unit_docs is None:
-            # Pre-batch coordinator: a single "unit" field (or null).
-            unit_docs = [reply["unit"]] if reply.get("unit") else []
+        if not isinstance(unit_docs, list):
+            raise FabricError("malformed coordinator reply on /fabric/lease")
         return [unit_from_dict(doc) for doc in unit_docs]
 
     def lease(self, worker: str, ttl: float) -> WorkUnit | None:
@@ -291,7 +290,7 @@ class HTTPTransport:
 
     def release(self, worker: str, unit: WorkUnit) -> None:
         self._request(
-            "/fabric/release", {"worker": worker, "unit": unit.unit_id}
+            "/fabric/release", {"worker": worker, "units": [unit.unit_id]}
         )
 
     def finished(self) -> bool:

@@ -21,13 +21,14 @@ renders Prometheus text for ``GET /metrics``.
 Run it with ``python -m repro serve`` or embed
 :class:`DeadlineAssignmentService` directly.
 
-Two serving topologies share that engine: ``--workers 1`` runs it
-in-process behind the stdlib :class:`ServiceHTTPServer` (today's exact
-path), while ``--workers N`` pre-forks N worker processes behind an
-asyncio front end (:class:`PooledFrontend` → :class:`WorkerPool`) that
-owns parsing, body-digest single-flight, 429 backpressure and the
-merged ``/metrics`` exposition (:func:`aggregate_metrics`) — the
-horizontal-scale path for multi-core hosts.
+One HTTP server, :class:`ServiceHTTPServer` (stdlib threading), serves
+two backends with one handler and one error mapping: ``--workers 1``
+runs the engine in-process, while ``--workers N`` hands raw request
+bodies to a :class:`WorkerPool` of N pre-forked worker processes, each
+running its own engine.  The pool adds body-hash single-flight, the
+per-worker 429 bound and the merged ``/metrics`` exposition
+(:func:`aggregate_metrics`) — the horizontal-scale path for multi-core
+hosts.
 """
 
 from .api import (
@@ -43,7 +44,6 @@ from ..errors import ServiceOverloadError
 from .batch import MicroBatcher
 from .cache import AssignmentCache, CacheStats, StoreSpill
 from .agg import aggregate_metrics
-from .frontend import PooledFrontend
 from .metrics import Counter, LatencySummary, ServiceMetrics, render_prometheus
 from .pool import RemoteAssignError, WorkerPool, default_workers
 from .server import DeadlineAssignmentService, ServiceHTTPServer, create_server
@@ -69,7 +69,6 @@ __all__ = [
     "ServiceHTTPServer",
     "create_server",
     "WorkerPool",
-    "PooledFrontend",
     "RemoteAssignError",
     "aggregate_metrics",
     "default_workers",

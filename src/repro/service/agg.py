@@ -1,19 +1,20 @@
 """Cross-process metrics aggregation for the pooled service.
 
 The pooled topology splits the single-process service's counters over
-N worker processes plus the front end (which owns the HTTP
-request/error counters and the follower side of single-flight).  A
-``GET /metrics`` scrape must still read like one service, so the front
-end collects one :meth:`~repro.service.metrics.ServiceMetrics.snapshot`
-document per worker over the control pipe and folds them — together
-with its own live counters — into a fresh
+N worker processes plus the serving process (whose
+:class:`~repro.service.pool.WorkerPool` owns the HTTP request/error
+counters and the follower side of single-flight).  A ``GET /metrics``
+scrape must still read like one service, so the pool collects one
+:meth:`~repro.service.metrics.ServiceMetrics.snapshot` document per
+worker over the control pipe and folds them — together with its own
+live counters — into a fresh
 :class:`~repro.service.metrics.ServiceMetrics` that renders the usual
 exposition.
 
 Merge semantics:
 
 * **Counters** add per label set.  ``computed`` assignments come from
-  workers, ``coalesced`` from the front end, ``cache`` from whichever
+  workers, ``coalesced`` from the serving process, ``cache`` from whichever
   worker's LRU/spill answered — the totals obey the same
   ``assignments == cache_hits + cache_misses`` invariant dashboards
   rely on in the single-process exposition.
@@ -61,10 +62,10 @@ def aggregate_metrics(
     *,
     base: ServiceMetrics | None = None,
 ) -> ServiceMetrics:
-    """Merge worker *snapshots* (and the front end's *base*) into one.
+    """Merge worker *snapshots* (and the serving process's *base*) into one.
 
     Returns a fresh :class:`ServiceMetrics` ready to ``render()``; the
-    inputs are not mutated.  *base* is the front end's live metrics —
+    inputs are not mutated.  *base* is the pool's own live metrics —
     HTTP request/error/overload counters plus coalesced-follower
     accounting — folded in as one more snapshot.
     """

@@ -1,10 +1,18 @@
-"""Pre-forked assignment worker pool behind the asyncio front end.
+"""Pre-forked assignment worker pool: the ``--workers N`` backend.
 
 One :class:`WorkerPool` owns N worker *processes*, each running a full
 :class:`~repro.service.server.DeadlineAssignmentService` (compiled/vec
 kernel, micro-batcher, LRU + optional persistent spill tier).  The pool
 is how ``repro serve --workers N`` escapes the single-interpreter GIL
-ceiling: the front end parses and coalesces HTTP, workers burn CPU.
+ceiling: the same stdlib HTTP handler that serves ``--workers 1``
+hands each raw ``/assign`` body to :meth:`WorkerPool.assign_body`, and
+workers parse and compute::
+
+    clients ──HTTP──▶ ServiceHTTPServer (threads) ──▶ WorkerPool
+                        │  body-hash single-flight · 429 shed
+                        ├──pipe──▶ assign worker 0 ─┐
+                        ├──pipe──▶ assign worker 1 ─┤ shared
+                        └──pipe──▶ ...              ─┘ spill dir
 
 Topology and wire protocol
 --------------------------
@@ -13,11 +21,11 @@ Each worker gets one duplex :func:`multiprocessing.Pipe`.  Messages are
 plain picklable tuples, request/reply matched by a monotonically
 increasing request id:
 
-* ``("assign", rid, doc)`` → ``("ok", rid, response_doc)`` or
-  ``("err", rid, category, kind, message)`` with ``category`` one of
-  ``overload`` / ``repro`` / ``internal`` — exactly the three branches
-  the single-process HTTP layer maps to 429 / 400 / 500, so the front
-  end can produce byte-identical error bodies.
+* ``("assign", rid, body)`` → ``("ok", rid, response_doc)`` or
+  ``("err", rid, category, kind, message)`` — the worker parses the
+  raw body bytes itself, and the error triple is
+  :func:`~repro.service.server.error_category`'s, so the HTTP handler
+  maps a worker's failure exactly as it maps an in-process one.
 * ``("metrics", rid)`` → ``("ok", rid, snapshot_doc)`` — the worker's
   :meth:`~repro.service.metrics.ServiceMetrics.snapshot`, merged into
   one exposition by :mod:`repro.service.agg`.
@@ -29,26 +37,43 @@ Workers are started with the ``spawn`` context (same choice as the
 sweep fabric): no inherited locks mid-acquire, no shared mutable
 interpreter state, and the child imports :mod:`repro` cleanly.
 
-Sharing and backpressure
-------------------------
+Coalescing, sharing and backpressure
+------------------------------------
+
+:meth:`WorkerPool.assign_body` coalesces identical bodies in flight by
+the SHA-256 of their bytes, so a duplicate burst costs one pipe
+crossing and one worker computation.  Bodies containing an ``"admit"``
+key never coalesce — admission is stateful (each submission advances a
+controller), so every admission request must reach a worker.  Body-hash
+coalescing is weaker than the worker's canonical-digest single-flight,
+which still catches textually different but canonically equal requests
+on one worker; requests split across workers are caught by the shared
+spill tier instead.
 
 When ``cache_dir`` is set every worker opens the *same*
 :class:`~repro.store.TrialStore` directory.  Store appends are
 ``fcntl``-locked with torn-tail healing and reads refresh the shard
 tail from disk, so an assignment computed (and spilled) by worker A is
-a cache *hit* for worker B — the cluster-wide cache tier the front
-end's digest routing does not need to know about.
+a cache *hit* for worker B.
 
 ``max_queue`` bounds the per-worker number of dispatched-but-unanswered
 requests.  :meth:`WorkerPool.submit` always picks the least-loaded live
 worker; when even that worker is at the bound the pool raises
 :class:`~repro.errors.ServiceOverloadError` *synchronously*, which the
-front end maps to the standard 429 + ``Retry-After`` shed path without
-ever queueing the request.
+HTTP handler maps to the standard 429 + ``Retry-After`` shed path
+without ever queueing the request.
+
+Metric accounting keeps the merged ``/metrics`` totals identical to the
+in-process exposition: workers count everything about the requests
+they receive; the pool's own :attr:`WorkerPool.metrics` holds the HTTP
+counters plus the requests that never reach a worker — coalesced
+followers and queue-full sheds — booked as the in-process service
+would have booked them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import os
 import threading
@@ -57,7 +82,9 @@ from concurrent.futures import Future, wait
 from pathlib import Path
 from typing import Any
 
-from ..errors import ReproError, ServiceOverloadError
+from ..errors import ServiceOverloadError
+from .agg import aggregate_metrics
+from .metrics import ServiceMetrics
 
 __all__ = ["RemoteAssignError", "WorkerPool", "default_workers"]
 
@@ -65,8 +92,9 @@ __all__ = ["RemoteAssignError", "WorkerPool", "default_workers"]
 def default_workers() -> int:
     """The ``--workers`` default: ``min(cpu_count, 4)``.
 
-    On a single-CPU host this is 1, which selects the in-process
-    single-server path — pre-forking cannot beat one core.
+    On a single-CPU host this is 1, which serves from the in-process
+    :class:`~repro.service.server.DeadlineAssignmentService` backend —
+    pre-forking cannot beat one core.
     """
     return min(os.cpu_count() or 1, 4)
 
@@ -74,9 +102,9 @@ def default_workers() -> int:
 class RemoteAssignError(Exception):
     """An assignment failed inside a worker process.
 
-    Carries the worker's error classification so the front end can
-    reproduce the single-process HTTP mapping exactly:
-    ``overload`` → 429, ``repro`` → 400 ``{"error", "kind"}``,
+    Carries the worker's :func:`~repro.service.server.error_category`
+    triple so the HTTP handler maps it exactly like an in-process
+    failure: ``overload`` → 429, ``bad_json`` / ``repro`` → 400,
     ``internal`` → 500.
     """
 
@@ -100,7 +128,7 @@ def _pool_worker_main(conn, config: dict) -> None:
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    from .server import DeadlineAssignmentService
+    from .server import DeadlineAssignmentService, error_category
 
     service = DeadlineAssignmentService(
         cache_size=config.get("cache_size", 1024),
@@ -124,17 +152,13 @@ def _pool_worker_main(conn, config: dict) -> None:
             except (BrokenPipeError, OSError):
                 pass  # parent is gone; nothing left to answer to
 
-    def do_assign(rid: int, doc: Any) -> None:
+    def do_assign(rid: int, body: bytes) -> None:
         try:
             if compute_delay > 0.0:
                 time.sleep(compute_delay)
-            send(("ok", rid, service.assign_dict(doc)))
-        except ServiceOverloadError as exc:
-            send(("err", rid, "overload", "ServiceOverloadError", str(exc)))
-        except ReproError as exc:
-            send(("err", rid, "repro", type(exc).__name__, str(exc)))
+            send(("ok", rid, service.assign_body(body)))
         except BaseException as exc:  # noqa: BLE001 - worker must survive
-            send(("err", rid, "internal", type(exc).__name__, str(exc)))
+            send(("err", rid) + error_category(exc))
 
     drain_timeout: float | None = None
     try:
@@ -258,6 +282,9 @@ class WorkerPool:
     compute_delay:
         Test hook: seconds each worker sleeps before computing — makes
         saturation and drain behaviour deterministic in tests.
+
+    Serve it over HTTP with :func:`~repro.service.server.create_server`
+    after :meth:`start`; :meth:`close` is the bounded drain.
     """
 
     def __init__(
@@ -292,13 +319,19 @@ class WorkerPool:
         self._rid = 0
         self._rid_lock = threading.Lock()
         self._closed = False
+        #: This process's half of the metrics: HTTP counters plus the
+        #: requests no worker saw (followers and sheds).
+        self.metrics = ServiceMetrics()
+        # Single-flight: body digest -> future of the in-flight dispatch.
+        self._inflight: dict[str, Future] = {}
+        self._inflight_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def start(self, timeout: float = 60.0) -> None:
         """Spawn the workers and block until each answers a ping.
 
         The readiness gate matters on slow hosts: ``spawn`` re-imports
-        :mod:`repro` in every child, and the front end must not accept
+        :mod:`repro` in every child, and the server must not accept
         traffic that would race worker startup.
         """
         ctx = multiprocessing.get_context("spawn")
@@ -359,8 +392,73 @@ class WorkerPool:
         return future
 
     # ------------------------------------------------------------------
-    def submit(self, doc: Any) -> Future:
-        """Dispatch one parsed ``/assign`` body; returns its future.
+    def assign_body(self, body: bytes) -> dict[str, Any]:
+        """Serve one raw ``/assign`` body through a worker (the HTTP path).
+
+        Identical bodies in flight share one dispatch: the first becomes
+        the leader, later arrivals wait on its future and are booked as
+        the in-process service books a coalesced miss.  Raises the
+        leader's failure — a :class:`RemoteAssignError` from the worker,
+        :class:`~repro.errors.ServiceOverloadError` when the pool is
+        full, ``RuntimeError`` when no worker is running.
+        """
+        # Admission mutates controller state per submission, so bodies
+        # that carry an admit key must each reach a worker.
+        if b'"admit"' in body:
+            return self._dispatch(body)
+        digest = hashlib.sha256(body).hexdigest()
+        flight: Future = Future()
+        with self._inflight_lock:
+            leader = self._inflight.setdefault(digest, flight)
+        if leader is not flight:
+            return self._follow(leader)
+        try:
+            doc = self._dispatch(body)
+        except BaseException as exc:
+            with self._inflight_lock:
+                self._inflight.pop(digest, None)
+            flight.set_exception(exc)
+            raise
+        with self._inflight_lock:
+            self._inflight.pop(digest, None)
+        flight.set_result(doc)
+        return doc
+
+    def _follow(self, leader: Future) -> dict[str, Any]:
+        start = time.perf_counter()
+        self.metrics.cache_misses.inc()
+        self.metrics.singleflight_waits.inc()
+        source = "failed"
+        try:
+            doc = leader.result()
+            source = "coalesced"
+            return doc
+        finally:
+            self.metrics.assignments.inc(source=source)
+            self.metrics.assign_latency.observe(time.perf_counter() - start)
+
+    def _dispatch(self, body: bytes) -> dict[str, Any]:
+        start = time.perf_counter()
+        try:
+            pending = self.submit(body)
+        except BaseException:
+            # Never dispatched, so no worker booked the assign-side
+            # counters; book them as the in-process service would.
+            self.metrics.cache_misses.inc()
+            self.metrics.assignments.inc(source="failed")
+            self.metrics.assign_latency.observe(time.perf_counter() - start)
+            raise
+        return pending.result()
+
+    def render_metrics(self) -> str:
+        """The merged exposition: every live worker's snapshot plus this
+        process's counters (:func:`~repro.service.agg.aggregate_metrics`)."""
+        return aggregate_metrics(
+            self.metrics_snapshots(), base=self.metrics
+        ).render()
+
+    def submit(self, body: bytes) -> Future:
+        """Dispatch one raw ``/assign`` body; returns its future.
 
         Picks the least-loaded live worker.  Raises
         :class:`~repro.errors.ServiceOverloadError` when every live
@@ -381,13 +479,13 @@ class WorkerPool:
                 f"worker pool is full ({self.max_queue} requests in "
                 f"flight on each of {len(live)} workers)"
             )
-        return self._request(handle, ("assign", doc))
+        return self._request(handle, ("assign", body))
 
     def metrics_snapshots(self, timeout: float = 5.0) -> list[dict]:
         """One metrics snapshot per live worker (dead workers skipped).
 
         A worker that fails to answer within *timeout* is skipped too:
-        a scrape must degrade, not hang the front end.
+        a scrape must degrade, not hang.
         """
         futures = []
         for handle in self._handles:

@@ -1,4 +1,4 @@
-"""The online deadline-assignment service and its stdlib HTTP front end.
+"""The online deadline-assignment service and its HTTP server.
 
 Two layers:
 
@@ -23,12 +23,20 @@ Two layers:
 
   - ``POST /assign``  — JSON request in, per-task slices (+ verdict) out,
   - ``GET /healthz``  — liveness probe,
-  - ``GET /metrics``  — Prometheus text exposition.
+  - ``GET /metrics``  — Prometheus text exposition,
+  - ``/fabric/*``     — a mounted sweep-fabric endpoint, if any,
+
+  over one *backend*: this module's service in-process (``repro serve
+  --workers 1``) or a :class:`~repro.service.pool.WorkerPool` of N
+  worker processes (``--workers N``).  Both take the raw request body
+  and fail in the same four categories (:func:`error_category`), so
+  one handler gives both topologies the same replies, byte for byte.
 
 Every :class:`~repro.errors.ReproError` maps to HTTP 400 with a JSON
-``{"error": ..., "kind": ...}`` body; anything else is a 500.  The
-response's ``cached`` flag and the cache-hit counters make the caching
-behaviour observable end to end.
+``{"error": ..., "kind": ...}`` body, an unparsable body to 400, an
+overload to 429 and anything else to 500.  The response's ``cached``
+flag and the cache-hit counters make the caching behaviour observable
+end to end.
 """
 
 from __future__ import annotations
@@ -62,11 +70,15 @@ from .api import (
 from .batch import MicroBatcher
 from .cache import AssignmentCache, StoreSpill
 from .metrics import ServiceMetrics
+from .pool import RemoteAssignError, WorkerPool
 
 __all__ = [
     "DeadlineAssignmentService",
     "ServiceHTTPServer",
     "create_server",
+    "error_category",
+    "BadJSONBody",
+    "MAX_BODY_BYTES",
     "VEC_FLUSH_MIN",
 ]
 
@@ -76,6 +88,42 @@ __all__ = [
 #: items of one flush carry distinct digests, so a flush this large is
 #: by construction a batch of ≥ VEC_FLUSH_MIN distinct workloads.
 VEC_FLUSH_MIN = 8
+
+#: Largest request body the HTTP layer reads (413 above it).
+MAX_BODY_BYTES = 64 << 20
+
+
+class BadJSONBody(Exception):
+    """A request body that is not valid UTF-8 JSON."""
+
+
+def decode_body(body: bytes) -> Any:
+    """Parse a raw request body; an empty body reads as ``null``."""
+    try:
+        return json.loads(body.decode() or "null")
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise BadJSONBody(str(exc)) from None
+
+
+def error_category(exc: BaseException) -> tuple[str, str, str]:
+    """``(category, kind, message)`` of a failed request.
+
+    The category is ``overload``, ``bad_json``, ``repro`` or
+    ``internal`` — the four replies of the HTTP contract (429, the
+    bad-JSON 400, the ``{"error", "kind"}`` 400, 500); ``kind`` labels
+    ``repro_errors_total``.  A pool worker sends this triple over its
+    pipe and the pool re-raises it as :class:`RemoteAssignError`, which
+    maps back to itself, so one handler serves both backends.
+    """
+    if isinstance(exc, RemoteAssignError):
+        return exc.category, exc.kind, exc.message
+    if isinstance(exc, ServiceOverloadError):
+        return "overload", "ServiceOverloadError", str(exc)
+    if isinstance(exc, BadJSONBody):
+        return "bad_json", "bad_json", str(exc)
+    if isinstance(exc, ReproError):
+        return "repro", type(exc).__name__, str(exc)
+    return "internal", "internal", str(exc)
 
 
 class DeadlineAssignmentService:
@@ -223,8 +271,20 @@ class DeadlineAssignmentService:
         return assignment
 
     def assign_dict(self, data: Any) -> dict[str, Any]:
-        """Dict-in/dict-out convenience wrapper (the HTTP body path)."""
+        """Dict-in/dict-out convenience wrapper."""
         return response_to_dict(self.assign(request_from_dict(data)))
+
+    def assign_body(self, body: bytes) -> dict[str, Any]:
+        """The HTTP ``/assign`` path: raw JSON bytes in, response doc out.
+
+        Raises :class:`BadJSONBody` for an unparsable body, else
+        whatever :meth:`assign_dict` raises.
+        """
+        return self.assign_dict(decode_body(body))
+
+    def render_metrics(self) -> str:
+        """The ``GET /metrics`` exposition."""
+        return self.metrics.render()
 
     def close(self, timeout: float | None = None) -> None:
         """Stop the batcher; in-flight requests complete first.
@@ -469,14 +529,21 @@ class DeadlineAssignmentService:
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
-    """Threading HTTP server bound to one service instance."""
+    """Threading HTTP server bound to one assignment backend.
+
+    The backend is either a :class:`DeadlineAssignmentService` (the
+    in-process engine) or a started
+    :class:`~repro.service.pool.WorkerPool`; the handler only uses
+    what both provide — ``assign_body(body)``, ``render_metrics()``
+    and the ``metrics`` its HTTP counters land in.
+    """
 
     daemon_threads = True
 
     def __init__(
         self,
         address: tuple[str, int],
-        service: DeadlineAssignmentService,
+        service: DeadlineAssignmentService | WorkerPool,
         *,
         retry_after: int = 1,
         fabric: Any = None,
@@ -504,10 +571,9 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         elif self.path.startswith("/fabric/"):
             self._handle_fabric("GET", None)
         elif self.path == "/metrics":
-            body = self.server.service.metrics.render().encode()
-            self.server.service.metrics.requests.inc(
-                endpoint="metrics", status="200"
-            )
+            backend = self.server.service
+            body = backend.render_metrics().encode()
+            backend.metrics.requests.inc(endpoint="metrics", status="200")
             self.send_response(200)
             self.send_header("Content-Type", "text/plain; version=0.0.4")
             self.send_header("Content-Length", str(len(body)))
@@ -520,151 +586,112 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                 endpoint="unknown",
             )
 
-    # Bodies larger than this are not drained for keep-alive reuse on
-    # error paths; the connection is closed instead.
-    _MAX_DRAIN = 1 << 20
-
-    def _drain_request_body(self) -> None:
-        """Consume an unread request body so keep-alive stays in sync.
-
-        HTTP/1.1 replies on a persistent connection must not leave the
-        request's body bytes in the stream — the peer's next request
-        would be parsed starting inside them.  Reads and discards
-        ``Content-Length`` bytes; anything unbounded (chunked encoding,
-        oversized or unparsable lengths) flips ``close_connection``
-        instead, which tells the base handler to drop the connection
-        after the reply.
-        """
-        if "chunked" in self.headers.get("Transfer-Encoding", "").lower():
-            self.close_connection = True
-            return
-        try:
-            length = int(self.headers.get("Content-Length", "0") or "0")
-        except ValueError:
-            self.close_connection = True
-            return
-        if length <= 0:
-            return
-        if length > self._MAX_DRAIN:
-            self.close_connection = True
-            return
-        while length > 0:
-            chunk = self.rfile.read(min(length, 65536))
-            if not chunk:
-                self.close_connection = True
-                return
-            length -= len(chunk)
-
-    def _handle_fabric(self, method: str, doc: Any) -> None:
-        """Dispatch one ``/fabric/*`` request to the mounted endpoint.
-
-        The endpoint object is duck-typed (``handle(method, path, doc)
-        -> (status, body)``) so the service layer does not import
-        :mod:`repro.fabric`; errors map exactly like ``/assign``'s:
-        :class:`ReproError` → 400, anything else → 500.
-        """
-        service = self.server.service
-        fabric = self.server.fabric
-        if fabric is None:
-            self._send_json(
-                404,
-                {"error": "no sweep fabric mounted on this server"},
-                endpoint="fabric",
-            )
-            return
-        try:
-            status, reply = fabric.handle(method, self.path, doc)
-        except ReproError as exc:
-            service.metrics.errors.inc(kind=type(exc).__name__)
-            self._send_json(
-                400,
-                {"error": str(exc), "kind": type(exc).__name__},
-                endpoint="fabric",
-            )
-            return
-        except Exception as exc:  # noqa: BLE001 - last-resort 500
-            service.metrics.errors.inc(kind="internal")
-            self._send_json(
-                500, {"error": f"internal error: {exc}"}, endpoint="fabric"
-            )
-            return
-        self._send_json(status, reply, endpoint="fabric")
-
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        if self.path.startswith("/fabric/"):
-            service = self.server.service
-            try:
-                length = int(self.headers.get("Content-Length", "0"))
-                body = self.rfile.read(length)
-                data = json.loads(body.decode() or "null")
-            except (ValueError, UnicodeDecodeError) as exc:
-                service.metrics.errors.inc(kind="bad_json")
-                self._send_json(
-                    400,
-                    {"error": f"request body is not valid JSON: {exc}"},
-                    endpoint="fabric",
-                )
-                return
-            self._handle_fabric("POST", data)
+        if self.path == "/assign":
+            endpoint = "assign"
+        elif self.path.startswith("/fabric/"):
+            endpoint = "fabric"
+        else:
+            endpoint = "unknown"
+        # Every body is read before replying, even one we will not use,
+        # or its bytes desync the next request on this connection.
+        body = self._read_body(endpoint)
+        if body is None:
             return
-        if self.path != "/assign":
-            # Read the body we are not going to use *before* replying,
-            # or its bytes desync the next request on this connection.
-            self._drain_request_body()
+        if endpoint == "fabric":
+            self._handle_fabric("POST", body)
+            return
+        if endpoint == "unknown":
             self._send_json(
                 404,
                 {"error": f"unknown path {self.path!r}"},
                 endpoint="unknown",
             )
             return
-        service = self.server.service
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            body = self.rfile.read(length)
-            data = json.loads(body.decode() or "null")
-        except (ValueError, UnicodeDecodeError) as exc:
-            service.metrics.errors.inc(kind="bad_json")
-            self._send_json(
-                400,
-                {"error": f"request body is not valid JSON: {exc}"},
-                endpoint="assign",
-            )
-            return
-        try:
-            doc = service.assign_dict(data)
-        except ServiceOverloadError as exc:
-            # Backpressure: bounded queue full.  Shed the request with
-            # the standard retry contract instead of queueing it.
-            service.metrics.errors.inc(kind="ServiceOverloadError")
-            service.metrics.overloads.inc()
-            self._send_json(
-                429,
-                {"error": str(exc), "kind": "ServiceOverloadError"},
-                endpoint="assign",
-                extra_headers={
-                    "Retry-After": str(self.server.retry_after)
-                },
-            )
-            return
-        except ReproError as exc:
-            service.metrics.errors.inc(kind=type(exc).__name__)
-            self._send_json(
-                400,
-                {"error": str(exc), "kind": type(exc).__name__},
-                endpoint="assign",
-            )
-            return
-        except Exception as exc:  # noqa: BLE001 - last-resort 500
-            service.metrics.errors.inc(kind="internal")
-            self._send_json(
-                500,
-                {"error": f"internal error: {exc}"},
-                endpoint="assign",
-            )
+            doc = self.server.service.assign_body(body)
+        except Exception as exc:  # noqa: BLE001 - mapped by category
+            self._send_error(exc, endpoint="assign")
             return
         self._send_json(200, doc, endpoint="assign")
 
+    def _read_body(self, endpoint: str) -> bytes | None:
+        """The request body, or ``None`` once a framing error is answered.
+
+        Only ``Content-Length`` framing is accepted.  A chunked body or
+        an unparsable or negative length gets a 400, a body over
+        :data:`MAX_BODY_BYTES` a 413; either way the connection closes
+        after the reply, because the stream position past such a
+        request is unknown and keep-alive cannot resume.
+        """
+        if "chunked" in self.headers.get("Transfer-Encoding", "").lower():
+            status, error = 400, "chunked transfer encoding is not supported"
+        else:
+            try:
+                length = int(self.headers.get("Content-Length") or "0")
+            except ValueError:
+                length = -1
+            if 0 <= length <= MAX_BODY_BYTES:
+                return self.rfile.read(length)
+            if length < 0:
+                status, error = 400, "invalid Content-Length"
+            else:
+                status, error = 413, "request body too large"
+        self._send_json(
+            status,
+            {"error": error},
+            endpoint=endpoint,
+            extra_headers={"Connection": "close"},
+        )
+        return None
+
+    def _handle_fabric(self, method: str, body: bytes | None) -> None:
+        """Dispatch one ``/fabric/*`` request to the mounted endpoint.
+
+        The endpoint object is duck-typed (``handle(method, path, doc)
+        -> (status, body)``) so the service layer does not import
+        :mod:`repro.fabric`; errors map exactly like ``/assign``'s.
+        """
+        fabric = self.server.fabric
+        try:
+            doc = None if body is None else decode_body(body)
+            if fabric is None:
+                status, reply = 404, {
+                    "error": "no sweep fabric mounted on this server"
+                }
+            else:
+                status, reply = fabric.handle(method, self.path, doc)
+        except Exception as exc:  # noqa: BLE001 - mapped by category
+            self._send_error(exc, endpoint="fabric")
+            return
+        self._send_json(status, reply, endpoint="fabric")
+
     # ------------------------------------------------------------------
+    def _send_error(self, exc: Exception, *, endpoint: str) -> None:
+        """The one failure mapping, for both backends and every route.
+
+        Overload → 429 with ``Retry-After`` (backpressure: shed instead
+        of queueing), an unparsable body → 400, a
+        :class:`~repro.errors.ReproError` → 400 with its ``kind``,
+        anything else → 500.
+        """
+        category, kind, message = error_category(exc)
+        metrics = self.server.service.metrics
+        metrics.errors.inc(kind=kind)
+        headers = None
+        if category == "overload":
+            metrics.overloads.inc()
+            status, doc = 429, {"error": message, "kind": kind}
+            headers = {"Retry-After": str(self.server.retry_after)}
+        elif category == "bad_json":
+            status = 400
+            doc = {"error": f"request body is not valid JSON: {message}"}
+        elif category == "repro":
+            status, doc = 400, {"error": message, "kind": kind}
+        else:
+            status, doc = 500, {"error": f"internal error: {message}"}
+        self._send_json(status, doc, endpoint=endpoint, extra_headers=headers)
+
     def _send_json(
         self,
         status: int,
@@ -677,17 +704,16 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         # non-finite float in *doc* must degrade to a 500 JSON reply (and
         # be counted as such), not kill the connection after metrics
         # already claimed a success.
+        metrics = self.server.service.metrics
         try:
             body = json.dumps(doc, allow_nan=False).encode()
         except ValueError:
             status = 500
-            self.server.service.metrics.errors.inc(kind="non_finite_json")
+            metrics.errors.inc(kind="non_finite_json")
             body = json.dumps(
                 {"error": "internal error: response contained non-finite numbers"}
             ).encode()
-        self.server.service.metrics.requests.inc(
-            endpoint=endpoint, status=str(status)
-        )
+        metrics.requests.inc(endpoint=endpoint, status=str(status))
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -703,20 +729,23 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
 def create_server(
     host: str = "127.0.0.1",
     port: int = 8077,
-    service: DeadlineAssignmentService | None = None,
+    service: DeadlineAssignmentService | WorkerPool | None = None,
     *,
     retry_after: int = 1,
     fabric: Any = None,
 ) -> ServiceHTTPServer:
     """Bind a :class:`ServiceHTTPServer`; ``port=0`` picks a free port.
 
-    ``retry_after`` is the ``Retry-After`` hint (seconds) attached to
-    429 responses when the service sheds load.  ``fabric`` mounts a
+    ``service`` is the backend: a :class:`DeadlineAssignmentService`
+    (a fresh one when omitted) or a started
+    :class:`~repro.service.pool.WorkerPool`.  ``retry_after`` is the
+    ``Retry-After`` hint (seconds) attached to 429 responses when the
+    backend sheds load.  ``fabric`` mounts a
     sweep-fabric endpoint (``/fabric/*`` lease/complete/heartbeat/
     status routes for remote sweep workers — see :mod:`repro.fabric`).
     The caller owns the lifecycle: ``serve_forever()`` to run,
     ``shutdown()``/``server_close()`` to stop, and
-    ``server.service.close()`` to drain the batcher (pass a timeout
+    ``server.service.close()`` to drain the backend (pass a timeout
     for a bounded drain).
     """
     if service is None:

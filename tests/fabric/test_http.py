@@ -47,30 +47,30 @@ class TestEndpoint:
         status, reply = endpoint.handle(
             "POST", "/fabric/lease", {"worker": "w"}
         )
-        assert status == 200 and reply["unit"] is not None
-        unit_doc = reply["unit"]
+        assert status == 200 and len(reply["units"]) == 1
+        assert "unit" not in reply
         from repro.fabric import unit_from_dict
 
-        unit = unit_from_dict(unit_doc)
+        unit = unit_from_dict(reply["units"][0])
         records = compute_unit(unit)
         status, reply = endpoint.handle(
             "POST",
             "/fabric/complete",
             {
                 "worker": "w",
-                "unit": unit.unit_id,
+                "units": [unit.unit_id],
                 "records": [[k, v] for k, v in records],
             },
         )
-        assert status == 200 and reply["done"] is True
+        assert status == 200 and reply["done"] == 1
         assert reply["appended"] == len(records)
         # Idempotent: a second completion transitions nothing.
         status, reply = endpoint.handle(
             "POST",
             "/fabric/complete",
-            {"worker": "other", "unit": unit.unit_id, "records": []},
+            {"worker": "other", "units": [unit.unit_id], "records": []},
         )
-        assert reply["done"] is False
+        assert reply["done"] == 0
 
     def test_complete_rejects_foreign_keys(self, coordinator):
         endpoint = coordinator.endpoint()
@@ -81,7 +81,7 @@ class TestEndpoint:
                 "/fabric/complete",
                 {
                     "worker": "w",
-                    "unit": a.unit_id,
+                    "units": [a.unit_id],
                     "records": [[b.keys[0], {"x": 1}]],
                 },
             )
@@ -94,6 +94,12 @@ class TestEndpoint:
             endpoint.handle(
                 "POST",
                 "/fabric/complete",
+                {"worker": "w", "units": ["nope"], "records": []},
+            )
+        with pytest.raises(FabricError, match="list of unit ids"):
+            endpoint.handle(
+                "POST",
+                "/fabric/complete",
                 {"worker": "w", "unit": "nope", "records": []},
             )
         unit = coordinator.units[0]
@@ -101,7 +107,7 @@ class TestEndpoint:
             endpoint.handle(
                 "POST",
                 "/fabric/complete",
-                {"worker": "w", "unit": unit.unit_id, "records": "x"},
+                {"worker": "w", "units": [unit.unit_id], "records": "x"},
             )
 
     def test_status_heartbeat_release_and_404(self, coordinator):
@@ -116,7 +122,7 @@ class TestEndpoint:
         status, _body = endpoint.handle(
             "POST",
             "/fabric/release",
-            {"worker": "w", "unit": coordinator.units[0].unit_id},
+            {"worker": "w", "units": [coordinator.units[0].unit_id]},
         )
         assert status == 200
         status, _body = endpoint.handle("GET", "/fabric/nope", None)

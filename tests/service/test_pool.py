@@ -1,8 +1,8 @@
-"""Pooled-topology tests: worker pool, asyncio front end, backpressure.
+"""Pooled-topology tests: the HTTP server over a worker pool.
 
 The pooled service's correctness gate is *equivalence*: byte-identical
 ``/assign`` bodies and matching metric totals against the in-process
-single server, plus the same 429/drain guarantees
+backend, plus the same 429/drain guarantees
 ``tests/service/test_concurrency.py`` pins for the thread path.
 Workers are real spawned processes, so counts stay small — one or two
 workers per fixture — to keep the suite fast on single-CPU hosts.
@@ -18,14 +18,9 @@ import time
 import pytest
 
 from repro.errors import ServiceOverloadError
-from repro.service import (
-    DeadlineAssignmentService,
-    PooledFrontend,
-    WorkerPool,
-    create_server,
-)
+from repro.service import DeadlineAssignmentService, WorkerPool
 
-from .conftest import chain_request
+from .conftest import chain_request, serving
 
 
 def distinct_body(i: int, **extra) -> bytes:
@@ -56,26 +51,26 @@ def post_assign(
         conn.close()
 
 
+def started_pool(workers: int, **kwargs) -> WorkerPool:
+    pool = WorkerPool(workers, **kwargs)
+    pool.start(timeout=120.0)
+    return pool
+
+
 @pytest.fixture(scope="module")
 def pooled():
-    """One 2-worker pooled front end shared by the equivalence tests."""
-    frontend = PooledFrontend(WorkerPool(2, cache_size=256))
-    frontend.start(timeout=120.0)
-    yield frontend
-    frontend.close(timeout=10.0)
+    """One server over a 2-worker pool shared by the equivalence tests."""
+    with serving(started_pool(2, cache_size=256)) as server:
+        yield server
 
 
 class TestPooledEquivalence:
-    """Pooled responses are byte-identical to the single process's."""
+    """Pooled responses are byte-identical to the in-process ones."""
 
     def test_assign_bodies_bit_identical(self, pooled):
-        service = DeadlineAssignmentService(cache_size=256)
-        server = create_server("127.0.0.1", 0, service)
-        single = threading.Thread(target=server.serve_forever, daemon=True)
-        single.start()
-        shost, sport = server.server_address[:2]
-        phost, pport = pooled.address
-        try:
+        phost, pport = pooled.server_address[:2]
+        with serving(DeadlineAssignmentService(cache_size=256)) as single:
+            shost, sport = single.server_address[:2]
             # Distinct workloads, a duplicate replay, an invalid
             # request, and an invalid-graph request — every branch of
             # the response contract.
@@ -90,13 +85,9 @@ class TestPooledEquivalence:
                 p_status, _, p_body = post_assign(phost, pport, body)
                 assert p_status == s_status
                 assert p_body == s_body
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.close(timeout=5.0)
 
     def test_healthz_and_unknown_path(self, pooled):
-        host, port = pooled.address
+        host, port = pooled.server_address[:2]
         conn = http.client.HTTPConnection(host, port, timeout=30)
         try:
             conn.request("GET", "/healthz")
@@ -114,7 +105,7 @@ class TestPooledEquivalence:
 
     def test_keep_alive_pipelines_requests(self, pooled):
         """Many requests reuse one connection, including error replies."""
-        host, port = pooled.address
+        host, port = pooled.server_address[:2]
         conn = http.client.HTTPConnection(host, port, timeout=60)
         try:
             digests = []
@@ -144,20 +135,18 @@ class TestPooledEquivalence:
         overlaps the leader's computation — on a fast shared pool the
         duplicates could serialize into plain cache hits instead.
         """
-        pool = WorkerPool(1, compute_delay=0.5)
-        frontend = PooledFrontend(pool)
-        frontend.start(timeout=120.0)
-        host, port = frontend.address
+        pool = started_pool(1, compute_delay=0.5)
         body = distinct_body(777)
         results: list[tuple[int, bytes]] = []
         lock = threading.Lock()
+        with serving(pool) as server:
+            host, port = server.server_address[:2]
 
-        def worker() -> None:
-            status, _, payload = post_assign(host, port, body)
-            with lock:
-                results.append((status, payload))
+            def worker() -> None:
+                status, _, payload = post_assign(host, port, body)
+                with lock:
+                    results.append((status, payload))
 
-        try:
             threads = [threading.Thread(target=worker) for _ in range(6)]
             for thread in threads:
                 thread.start()
@@ -166,19 +155,15 @@ class TestPooledEquivalence:
             assert len(results) == 6
             assert {status for status, _ in results} == {200}
             assert len({payload for _, payload in results}) == 1
-            waits = frontend.metrics.singleflight_waits.total()
-            coalesced = frontend.metrics.assignments.value(
-                source="coalesced"
-            )
+            waits = pool.metrics.singleflight_waits.total()
+            coalesced = pool.metrics.assignments.value(source="coalesced")
             # At least one request must have followed rather than
             # dispatched (exact counts depend on arrival interleaving).
             assert waits >= 1
             assert coalesced == waits
-        finally:
-            frontend.close(timeout=10.0)
 
     def test_metrics_totals_aggregate_across_processes(self, pooled):
-        host, port = pooled.address
+        host, port = pooled.server_address[:2]
         conn = http.client.HTTPConnection(host, port, timeout=30)
         try:
             conn.request("GET", "/metrics")
@@ -202,7 +187,7 @@ class TestPooledEquivalence:
         hits = series.get("repro_cache_hits_total", 0)
         misses = series.get("repro_cache_misses_total", 0)
         # The single-process dashboard invariant must survive the
-        # split across front end + workers.
+        # split across the serving process + workers.
         assert computed + cache + coalesced + failed == hits + misses
         assert hits == cache
         assert computed >= 1 and hits >= 1
@@ -214,28 +199,26 @@ class TestPooledBackpressure:
     def test_pool_submit_sheds_when_full(self):
         with WorkerPool(1, max_queue=1, compute_delay=0.5) as pool:
             pool.start(timeout=120.0)
-            first = pool.submit(json.loads(distinct_body(0)))
+            first = pool.submit(distinct_body(0))
             with pytest.raises(ServiceOverloadError):
                 for i in range(1, 10):
-                    pool.submit(json.loads(distinct_body(i)))
+                    pool.submit(distinct_body(i))
             assert first.result(timeout=60.0)["format"].startswith("repro.")
 
     def test_http_burst_returns_429_with_retry_after(self):
-        pool = WorkerPool(1, max_queue=1, compute_delay=0.5)
-        frontend = PooledFrontend(pool, retry_after=7)
-        frontend.start(timeout=120.0)
-        host, port = frontend.address
+        pool = started_pool(1, max_queue=1, compute_delay=0.5)
         results: list[tuple[int, dict[str, str]]] = []
         lock = threading.Lock()
+        with serving(pool, retry_after=7) as server:
+            host, port = server.server_address[:2]
 
-        def worker(i: int) -> None:
-            status, headers, _ = post_assign(
-                host, port, distinct_body(i)
-            )
-            with lock:
-                results.append((status, headers))
+            def worker(i: int) -> None:
+                status, headers, _ = post_assign(
+                    host, port, distinct_body(i)
+                )
+                with lock:
+                    results.append((status, headers))
 
-        try:
             threads = [
                 threading.Thread(target=worker, args=(i,)) for i in range(8)
             ]
@@ -251,14 +234,11 @@ class TestPooledBackpressure:
             for status, headers in results:
                 if status == 429:
                     assert headers.get("retry-after") == "7"
-            assert frontend.metrics.overloads.total() == statuses.count(429)
-        finally:
-            frontend.close(timeout=10.0)
+            assert pool.metrics.overloads.total() == statuses.count(429)
 
     def test_drain_timeout_fails_stragglers_without_hanging(self):
-        pool = WorkerPool(1, compute_delay=2.0)
-        pool.start(timeout=120.0)
-        futures = [pool.submit(json.loads(distinct_body(i))) for i in range(3)]
+        pool = started_pool(1, compute_delay=2.0)
+        futures = [pool.submit(distinct_body(i)) for i in range(3)]
         started = time.monotonic()
         pool.close(timeout=0.3)
         elapsed = time.monotonic() - started
@@ -268,36 +248,35 @@ class TestPooledBackpressure:
             assert future.cancelled() or future.exception() is not None
 
     def test_frontend_drain_is_bounded(self):
-        pool = WorkerPool(1, compute_delay=5.0)
-        frontend = PooledFrontend(pool)
-        frontend.start(timeout=120.0)
-        host, port = frontend.address
+        pool = started_pool(1, compute_delay=5.0)
         outcome: list[object] = []
+        client = None
+        with serving(pool, drain=0.5) as server:
+            host, port = server.server_address[:2]
 
-        def slow_client() -> None:
-            try:
-                outcome.append(post_assign(host, port, distinct_body(0)))
-            except Exception as exc:  # noqa: BLE001 - recorded for assert
-                outcome.append(exc)
+            def slow_client() -> None:
+                try:
+                    outcome.append(post_assign(host, port, distinct_body(0)))
+                except Exception as exc:  # noqa: BLE001 - recorded below
+                    outcome.append(exc)
 
-        client = threading.Thread(target=slow_client, daemon=True)
-        client.start()
-        time.sleep(0.5)  # let the request reach the worker
-        started = time.monotonic()
-        frontend.close(timeout=0.5)
+            client = threading.Thread(target=slow_client, daemon=True)
+            client.start()
+            time.sleep(0.5)  # let the request reach the worker
+            started = time.monotonic()
         assert time.monotonic() - started < 20.0
         client.join(10.0)
         # The straggler was answered (500 after its future was failed)
         # or dropped with the connection — never left hanging.
         assert not client.is_alive()
+        assert len(outcome) == 1
 
 
 class TestWorkerDeath:
     def test_dead_worker_fails_inflight_and_pool_reports(self):
-        pool = WorkerPool(1, compute_delay=3.0)
-        pool.start(timeout=120.0)
+        pool = started_pool(1, compute_delay=3.0)
         try:
-            future = pool.submit(json.loads(distinct_body(0)))
+            future = pool.submit(distinct_body(0))
             handle = pool._handles[0]
             handle.proc.terminate()
             # The in-flight future must resolve — cancelled (it never
@@ -311,6 +290,6 @@ class TestWorkerDeath:
                 time.sleep(0.05)
             assert pool.workers == 0
             with pytest.raises(RuntimeError):
-                pool.submit(json.loads(distinct_body(1)))
+                pool.submit(distinct_body(1))
         finally:
             pool.close(timeout=5.0)

@@ -20,10 +20,11 @@ from repro.store import TrialStore
 from .conftest import chain_request
 
 
-def body_doc(i: int) -> dict:
-    return chain_request(
+def body_doc(i: int) -> bytes:
+    doc = chain_request(
         wcets=(10 + i, 20 + 2 * i, 15 + i), deadline=200.0 + i
     )
+    return json.dumps(doc).encode()
 
 
 @pytest.fixture
