@@ -29,9 +29,9 @@ bench-cache:
 cache-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/cache_smoke.py
 
-# Tiny sweep through the CLI with REPRO_KERNEL=0 and =1 (and with
-# --engine paired-ref); all reports must be byte-identical — the
-# compiled kernel's oracle contract at the CLI boundary.
+# Tiny sweep through the CLI with REPRO_KERNEL=0 and =1, and with
+# REPRO_KERNEL=0 on a 2-worker pool; all reports must be byte-identical
+# — the compiled kernel's oracle contract at the CLI boundary.
 kernel-smoke:
 	PYTHONPATH=src $(PYTHON) scripts/kernel_smoke.py
 

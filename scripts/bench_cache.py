@@ -70,7 +70,7 @@ def canonical(result) -> str:
 def timed_run(spec: ExperimentSpec, trials: int, seed: int, cache=None):
     start = time.perf_counter()
     result = run_experiment(
-        spec, trials=trials, seed=seed, jobs=1, engine="paired", cache=cache
+        spec, trials=trials, seed=seed, jobs=1, cache=cache
     )
     return time.perf_counter() - start, result
 
@@ -179,7 +179,6 @@ def main(argv: list[str] | None = None) -> int:
         "trials_per_cell": args.trials,
         "seed": args.seed,
         "jobs": 1,
-        "engine": "paired",
         "off_seconds": round(off_s, 6),
         "cold_seconds": round(cold_s, 6),
         "warm_seconds": round(warm_s, 6),

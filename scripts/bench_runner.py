@@ -1,19 +1,17 @@
 #!/usr/bin/env python
-"""Benchmark the trial engines: per-cell vs paired vs compiled kernel.
+"""Benchmark the trial tiers: compiled kernel vs reference, vec stages.
 
 Runs the same 4-series sweep (the shape of the paper's Figs. 2–4: one
-curve per metric) through the ``run_experiment`` engines with
-``jobs=1`` — serial execution isolates the amortization win from
-process-pool effects — asserts the results are bit-identical, and
-records the speedups to ``BENCH_runner.json`` so the perf trajectory of
-the Monte Carlo hot path is tracked across PRs:
+curve per metric) through ``run_experiment`` with ``jobs=1`` — serial
+execution isolates the tiers from process-pool effects — asserts the
+results are bit-identical, and records the speedups to
+``BENCH_runner.json`` so the perf trajectory of the Monte Carlo hot
+path is tracked across PRs:
 
-* ``speedup`` — the paired engine (workload generated once per trial,
-  judged by every series) over the per-cell engine;
-* ``kernel_speedup`` — the paired engine on the compiled kernel
-  (integer-indexed slicing/metric/EDF fast path, the default) over
-  ``engine="paired-ref"`` (the same paired engine forced onto the
-  string-keyed reference pipeline).  The two runs must produce
+* ``kernel_speedup`` — the compiled kernel (integer-indexed
+  slicing/metric/EDF fast path, the default) over the string-keyed
+  reference pipeline (the same run under ``REPRO_KERNEL=0``).  The
+  two runs must produce
   byte-identical reports — the kernel's oracle contract — and the
   speedup must clear ``--kernel-target`` (default 1.5×), or the
   benchmark fails.  The legs are timed interleaved, best-of-``R``
@@ -30,10 +28,10 @@ the Monte Carlo hot path is tracked across PRs:
   oracle* (``use_kernel=False``) field for field, and the speedup must
   clear ``--vec-target`` (default 4.0×), or the benchmark fails.
 
-The paired engine is then timed with ``jobs=1`` vs ``jobs=4`` at a
-larger trial count (``--mp-trials``; the pool's startup cost needs real
-work to amortize against) — still bit-identical, the scheduling
-invariance the engines promise — and the multiprocess speedup is
+The sweep is then timed with ``jobs=1`` vs ``jobs=4`` at a larger
+trial count (``--mp-trials``; the pool's startup cost needs real work
+to amortize against) — still bit-identical, the scheduling invariance
+the runner promises — and the multiprocess speedup is
 recorded alongside.  On a single-CPU machine the ``jobs=4`` run would
 measure nothing but dispatch overhead, so it is skipped:
 ``multiprocess_speedup`` is recorded as ``null`` with a
@@ -70,7 +68,7 @@ def build_spec() -> ExperimentSpec:
 
     return ExperimentSpec(
         name="bench-runner",
-        title="Paired-engine benchmark (4 metrics over system size)",
+        title="Runner benchmark (4 metrics over system size)",
         x_label="processors m",
         x_values=(3, 6),
         series=METRIC_NAMES,
@@ -78,26 +76,32 @@ def build_spec() -> ExperimentSpec:
     )
 
 
-def time_engine(
+def time_sweep(
     spec: ExperimentSpec,
-    engine: str,
     trials: int,
     seed: int,
     repeats: int,
     jobs: int = 1,
+    kernel: str = "1",
 ) -> tuple[float, dict]:
-    """Best-of-*repeats* wall-clock for one engine, plus its result doc."""
+    """Best-of-*repeats* wall-clock of the sweep under
+    ``REPRO_KERNEL=kernel``, plus its result doc."""
     best = float("inf")
     doc = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = run_experiment(
-            spec, trials=trials, seed=seed, jobs=jobs, engine=engine
-        )
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-        doc = result.to_dict()
-        doc.pop("elapsed_seconds")
+    saved = os.environ.get("REPRO_KERNEL")
+    os.environ["REPRO_KERNEL"] = kernel
+    try:
+        for _ in range(repeats):
+            start = time.perf_counter()
+            result = run_experiment(spec, trials=trials, seed=seed, jobs=jobs)
+            best = min(best, time.perf_counter() - start)
+            doc = result.to_dict()
+            doc.pop("elapsed_seconds")
+    finally:
+        if saved is None:
+            del os.environ["REPRO_KERNEL"]
+        else:
+            os.environ["REPRO_KERNEL"] = saved
     return best, doc
 
 
@@ -265,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
         "--repeats",
         type=int,
         default=5,
-        help="timing repeats per engine; best run is kept (default 5)",
+        help="timing repeats per leg; best run is kept (default 5)",
     )
     parser.add_argument(
         "--kernel-target",
@@ -309,36 +313,25 @@ def main(argv: list[str] | None = None) -> int:
         f"{len(spec.x_values)} x-values, {args.trials} trials/cell, jobs=1"
     )
 
-    percell_s, percell_doc = time_engine(
-        spec, "percell", args.trials, args.seed, args.repeats
-    )
-    print(f"percell engine: {percell_s:.3f} s")
-    paired_s, paired_doc = time_engine(
-        spec, "paired", args.trials, args.seed, args.repeats
-    )
-    print(f"paired engine:  {paired_s:.3f} s")
-
     # Kernel leg: the compiled fast path vs the string-keyed reference
-    # pipeline, same paired engine both sides.  Interleave the repeats
-    # (ref, kernel, ref, kernel, …) so ambient load hits both legs
-    # alike, and keep the best of each.
+    # pipeline (REPRO_KERNEL=0).  Interleave the repeats (ref, kernel,
+    # ref, kernel, …) so ambient load hits both legs alike, and keep
+    # the best of each.
     print(
-        f"kernel leg: paired (compiled kernel) vs paired-ref "
-        f"(reference pipeline), best of {args.repeats} interleaved"
+        f"kernel leg: compiled kernel vs reference pipeline "
+        f"(REPRO_KERNEL=0), best of {args.repeats} interleaved"
     )
     ref_s = kernel_s = float("inf")
     ref_doc = kernel_doc = None
     for _ in range(args.repeats):
-        s, ref_doc = time_engine(
-            spec, "paired-ref", args.trials, args.seed, repeats=1
+        s, ref_doc = time_sweep(
+            spec, args.trials, args.seed, repeats=1, kernel="0"
         )
         ref_s = min(ref_s, s)
-        s, kernel_doc = time_engine(
-            spec, "paired", args.trials, args.seed, repeats=1
-        )
+        s, kernel_doc = time_sweep(spec, args.trials, args.seed, repeats=1)
         kernel_s = min(kernel_s, s)
-    print(f"paired-ref:     {ref_s:.3f} s")
-    print(f"paired/kernel:  {kernel_s:.3f} s")
+    print(f"reference:      {ref_s:.3f} s")
+    print(f"kernel:         {kernel_s:.3f} s")
 
     print(
         f"vec leg: batched stage pipeline vs compiled kernel, "
@@ -355,36 +348,33 @@ def main(argv: list[str] | None = None) -> int:
     cpu_count = os.cpu_count() or 1
     single_cpu = cpu_count == 1
     print(
-        f"multiprocess leg: paired engine, {args.mp_trials} trials/cell, "
+        f"multiprocess leg: kernel, {args.mp_trials} trials/cell, "
         + ("jobs=1 only (single CPU)" if single_cpu else "jobs=1 vs jobs=4")
     )
-    mp1_s, mp1_doc = time_engine(
-        spec, "paired", args.mp_trials, args.seed, args.repeats, jobs=1
+    mp1_s, mp1_doc = time_sweep(
+        spec, args.mp_trials, args.seed, args.repeats, jobs=1
     )
-    print(f"paired, jobs=1: {mp1_s:.3f} s")
+    print(f"jobs=1:         {mp1_s:.3f} s")
     if single_cpu:
         # A jobs=4 pool on one CPU measures dispatch overhead, not
         # parallelism — record the skip instead of a misleading ratio.
         mp4_s = mp4_doc = None
         multiprocess_speedup = None
         multiprocess_note = "skipped: single-cpu"
-        print("paired, jobs=4: skipped (single CPU)")
+        print("jobs=4:         skipped (single CPU)")
     else:
-        mp4_s, mp4_doc = time_engine(
-            spec, "paired", args.mp_trials, args.seed, args.repeats, jobs=4
+        mp4_s, mp4_doc = time_sweep(
+            spec, args.mp_trials, args.seed, args.repeats, jobs=4
         )
         multiprocess_speedup = mp1_s / mp4_s
         multiprocess_note = None
-        print(f"paired, jobs=4: {mp4_s:.3f} s")
+        print(f"jobs=4:         {mp4_s:.3f} s")
 
     # Compare as canonical JSON text: all-fail cells carry NaN
     # aggregates, and NaN != NaN would flag identical docs as diverged.
     def text_of(doc: dict) -> str:
         return json.dumps(doc, sort_keys=True)
 
-    if text_of(percell_doc) != text_of(paired_doc):
-        print("FATAL: engines disagree — results are not bit-identical")
-        return 1
     if text_of(ref_doc) != text_of(kernel_doc):
         print(
             "FATAL: kernel diverges from the reference pipeline — "
@@ -394,11 +384,9 @@ def main(argv: list[str] | None = None) -> int:
     if mp4_doc is not None and text_of(mp1_doc) != text_of(mp4_doc):
         print("FATAL: jobs=4 diverges from jobs=1 — not bit-identical")
         return 1
-    speedup = percell_s / paired_s
     kernel_speedup = ref_s / kernel_s
     print(
-        f"speedup: {speedup:.2f}x paired-over-percell, "
-        f"{kernel_speedup:.2f}x kernel-over-reference"
+        f"speedup: {kernel_speedup:.2f}x kernel-over-reference"
         + f", {vec_speedup:.2f}x vec-over-kernel stages"
         + (
             ""
@@ -434,11 +422,8 @@ def main(argv: list[str] | None = None) -> int:
         "seed": args.seed,
         "jobs": 1,
         "repeats": args.repeats,
-        "percell_seconds": round(percell_s, 6),
-        "paired_seconds": round(paired_s, 6),
-        "speedup": round(speedup, 4),
-        "paired_ref_seconds": round(ref_s, 6),
-        "paired_kernel_seconds": round(kernel_s, 6),
+        "reference_seconds": round(ref_s, 6),
+        "kernel_seconds": round(kernel_s, 6),
         "kernel_speedup": round(kernel_speedup, 4),
         "kernel_target": args.kernel_target,
         "vec_lanes": args.vec_lanes,
@@ -448,8 +433,8 @@ def main(argv: list[str] | None = None) -> int:
         "vec_target": args.vec_target,
         "multiprocess_trials_per_cell": args.mp_trials,
         "multiprocess_jobs": 4,
-        "paired_mp_jobs1_seconds": round(mp1_s, 6),
-        "paired_mp_jobs4_seconds": (
+        "mp_jobs1_seconds": round(mp1_s, 6),
+        "mp_jobs4_seconds": (
             None if mp4_s is None else round(mp4_s, 6)
         ),
         "multiprocess_speedup": (

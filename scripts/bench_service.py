@@ -348,6 +348,7 @@ def main(argv: list[str] | None = None) -> int:
         )
 
     workers_leg = {
+        "cpu_count": cpu_count,
         "workers": args.workers,
         "distinct_requests": len(bodies),
         "clients": args.clients,
@@ -359,8 +360,11 @@ def main(argv: list[str] | None = None) -> int:
         "note": note,
         "equivalence": equivalence,
     }
+    # The top-level fields (cpu_count included) describe the recorded
+    # single-process baseline and stay as recorded; this run's host goes
+    # with its own legs, so the baseline guard above keeps comparing
+    # like hosts only.
     doc = dict(previous) if previous else {"format": "repro.bench-service/1"}
-    doc["cpu_count"] = cpu_count
     doc["workers"] = workers_leg
     doc["multiprocess_note"] = (
         note

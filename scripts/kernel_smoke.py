@@ -6,12 +6,13 @@ CLI boundary — once with ``REPRO_KERNEL=0`` (string-keyed reference
 pipeline) and once with ``REPRO_KERNEL=1`` (compiled kernel, the
 default) — and requires the two printed reports to match byte for
 byte.  This is the bit-identity contract of ``repro.kernel`` enforced
-on the full path the users take: CLI → experiment engine → trial →
+on the full path the users take: CLI → experiment runner → trial →
 slicing → EDF → report formatting.
 
-A second pair of runs exercises ``--engine paired-ref`` against the
-default engine under ``REPRO_KERNEL=1``, checking the per-run override
-is as sound as the environment switch.
+A third run repeats the reference under ``REPRO_KERNEL=0 --jobs 2``:
+its one unit per sweep point runs in process-pool workers, which
+inherit the switch, and the report must match the ``--jobs 1``
+reference.
 
 Exits non-zero with a diagnostic on any divergence.
 
@@ -32,7 +33,7 @@ FIGURE = "fig2"
 TRIALS = "8"
 
 
-def run_once(kernel: str, engine: str = "paired") -> str:
+def run_once(kernel: str, jobs: str = "1") -> str:
     """One CLI run; returns the report text (wall-clock normalized)."""
     env = dict(os.environ)
     env["REPRO_KERNEL"] = kernel
@@ -46,9 +47,7 @@ def run_once(kernel: str, engine: str = "paired") -> str:
             "--trials",
             TRIALS,
             "--jobs",
-            "1",
-            "--engine",
-            engine,
+            jobs,
         ],
         capture_output=True,
         text=True,
@@ -59,7 +58,7 @@ def run_once(kernel: str, engine: str = "paired") -> str:
         print(proc.stderr, file=sys.stderr)
         raise SystemExit(
             f"FATAL: CLI exited {proc.returncode} "
-            f"(REPRO_KERNEL={kernel}, engine={engine})"
+            f"(REPRO_KERNEL={kernel}, --jobs {jobs})"
         )
     # Wall-clock is the one legitimately non-deterministic part of the
     # report; everything else must match byte for byte.
@@ -78,11 +77,12 @@ def main() -> int:
             "REPRO_KERNEL=1 report differs from the REPRO_KERNEL=0 report"
         )
 
-    ref_engine = run_once("1", engine="paired-ref")
-    print(f"paired-ref run (REPRO_KERNEL=1): {len(ref_engine)} bytes")
-    if ref_engine != reference:
+    pooled = run_once("0", jobs="2")
+    print(f"pooled run    (REPRO_KERNEL=0, --jobs 2): {len(pooled)} bytes")
+    if pooled != reference:
         failures.append(
-            "--engine paired-ref report differs from the reference report"
+            "REPRO_KERNEL=0 --jobs 2 report differs from the --jobs 1 "
+            "reference report"
         )
 
     for failure in failures:

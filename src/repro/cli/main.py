@@ -110,17 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="trials per worker unit (default 32; results are invariant)",
     )
     parser.add_argument(
-        "--engine",
-        choices=("paired", "paired-ref", "percell"),
-        default="paired",
-        help="execution engine: 'paired' generates each workload once per "
-        "sweep point and judges it with every series (default); "
-        "'paired-ref' is the same engine pinned to the string-keyed "
-        "reference pipeline instead of the compiled kernel (the oracle; "
-        "see also REPRO_KERNEL=0); 'percell' is the historical "
-        "one-unit-per-cell engine (results are bit-identical either way)",
-    )
-    parser.add_argument(
         "--cache",
         type=Path,
         default=None,
@@ -390,7 +379,6 @@ def figures_main(argv: list[str] | None = None) -> int:
                 seed=args.seed,
                 jobs=args.jobs,
                 chunk_size=args.chunk_size,
-                engine=args.engine,
                 cache=store,
             )
         except ReproError as exc:

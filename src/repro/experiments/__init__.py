@@ -15,11 +15,9 @@ from .report import (
 )
 from .context import TrialContext
 from .runner import (
-    ENGINE_NAMES,
     CellResult,
     ExperimentResult,
     cell_chunk_key,
-    run_cell,
     run_experiment,
     run_paired_cells,
     run_trial,
@@ -32,11 +30,9 @@ __all__ = [
     "TrialOutcome",
     "ExperimentSpec",
     "run_trial",
-    "run_cell",
     "run_paired_cells",
     "run_experiment",
     "cell_chunk_key",
-    "ENGINE_NAMES",
     "TrialContext",
     "CellResult",
     "ExperimentResult",

@@ -1,4 +1,4 @@
-"""Per-trial shared derived state for the paired-trial engine.
+"""Per-trial shared derived state for the runner's paired work units.
 
 The paper's evaluation judges one fixed set of random task graphs with
 *every* metric (the paired design of §6), so within one trial every
@@ -8,10 +8,10 @@ each estimator's WCET map, the strict-locality clustering — is therefore
 identical across series and is computed lazily, exactly once, on a
 :class:`TrialContext`.  Series then differ only in the metric's sharing
 rule, the scheduler policy, and the communication model, which is where
-the 2–4× amortization win of the paired engine comes from.
+the 2–4× amortization win of paired units comes from.
 
-Laziness matters for bit-identical equivalence with the per-cell engine:
-a PURE-only series never builds a transitive closure, so the context
+Laziness keeps a series' result independent of its neighbours: a
+PURE-only series never builds a transitive closure, so the context
 must not build one either unless some series asks for it.
 """
 
@@ -68,7 +68,7 @@ class TrialContext:
         """Generate the trial's workload from *seed* and wrap it.
 
         The one sanctioned way to materialize a trial context in the
-        engines: the workload — and therefore everything this context
+        runner: the workload — and therefore everything this context
         derives — is a pure function of ``(params, seed)``, which is
         the determinism contract the persistent result store keys on.
         """

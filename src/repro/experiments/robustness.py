@@ -19,20 +19,21 @@ A robust metric has rank ≈ 1 almost everywhere and small worst-case
 regret.  Configurations where *every* metric saturates (or fails
 completely) are excluded from ranking — nothing is being discriminated
 there.
+
+A configuration is one sweep point of the runner's paired executor
+(:func:`~repro.experiments.runner.run_points`): every metric is a cell
+of it, judged on the configuration's shared workload seeds.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from ..analysis.tables import format_table
-from ..errors import ExperimentError, ReproError
-from ..rng import derive_seed
-from .runner import CellResult, run_cell
+from ..errors import ExperimentError
+from .runner import CellResult, run_points
 from .spec import TrialConfig
 
 __all__ = ["RobustnessResult", "run_robustness", "robustness_table"]
@@ -102,8 +103,10 @@ def run_robustness(
     """Evaluate *metrics* over *configurations* and rank them.
 
     ``config_builder(configuration, metric)`` must return the
-    :class:`TrialConfig` for that cell.  Workload seeds are shared
-    across metrics within a configuration (paired ranking).
+    :class:`TrialConfig` for that cell.  Each configuration is one
+    paired sweep point: its workload seeds are shared by every metric
+    (paired ranking).  ``trials``/``jobs``/``chunk_size`` are checked
+    and executed as in :func:`~repro.experiments.runner.run_points`.
     Configurations where every metric lands above *saturation* or below
     *floor* are excluded from the rank statistics.
     """
@@ -113,54 +116,21 @@ def run_robustness(
         raise ExperimentError("duplicate metrics")
     if not configurations:
         raise ExperimentError("need at least one configuration")
-    if trials < 1:
-        raise ExperimentError("trials must be at least 1")
     start = time.perf_counter()
-
-    units = []
-    for ci, conf in enumerate(configurations):
-        seeds = [derive_seed(seed, ci, t) for t in range(trials)]
-        for metric in metrics:
-            trial_config = config_builder(conf, metric)
-            for lo in range(0, trials, chunk_size):
-                units.append(
-                    ((ci, metric), trial_config, seeds[lo : lo + chunk_size])
-                )
-
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    partials: list[tuple[tuple[int, str], CellResult]] = []
-    if jobs <= 1 or len(units) == 1:
-        for key, cfg, seeds in units:
-            partials.append((key, run_cell(cfg, seeds)))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                (key, pool.submit(run_cell, cfg, seeds))
-                for key, cfg, seeds in units
-            ]
-            for key, fut in futures:
-                try:
-                    partials.append((key, fut.result()))
-                except ReproError:
-                    raise
-                except Exception as exc:
-                    raise ExperimentError(
-                        f"worker failed on cell {key}: {exc}"
-                    ) from exc
-
+    points = [
+        (ci, [(mi, config_builder(conf, m)) for mi, m in enumerate(metrics)])
+        for ci, conf in enumerate(configurations)
+    ]
+    cells, _stats = run_points(
+        points, trials=trials, seed=seed, jobs=jobs, chunk_size=chunk_size
+    )
     result = RobustnessResult(
         metrics=list(metrics),
         configurations=list(configurations),
+        ratios={(ci, metrics[mi]): cell for (ci, mi), cell in cells.items()},
         trials_per_cell=trials,
         seed=seed,
     )
-    for key, cell in partials:
-        if key in result.ratios:
-            result.ratios[key] = result.ratios[key].merged(cell)
-        else:
-            result.ratios[key] = cell
-
     for ci in range(len(configurations)):
         values = [result.ratio(ci, m) for m in metrics]
         if max(values) < floor or min(values) > saturation:

@@ -1,37 +1,41 @@
-"""Experiment execution: paired trials, cells, and multiprocessing fan-out.
+"""Experiment execution: paired work units, one executor, process fan-out.
 
 Determinism contract: the outcome of a trial depends only on
-``(root_seed, x_index, trial_index)`` — never on worker
-count, scheduling order, or engine choice.  Workers receive coarse
-(configs, seed-block) pairs and return aggregate counts, so
+``(root_seed, point, trial_index)`` — never on worker count, chunk
+scheduling order, or tier choice.  Workers receive coarse
+(cells, seed-block) units and return aggregate counts, so
 inter-process traffic stays tiny (per the hpc-parallel guidance:
 parallelize coarse-grained units, keep the serial inner loop simple and
 measured).
 
-Two engines share the same trial primitive:
+Every experiment front end is a list of *sweep points*, each a set of
+cells judged on one shared seed sequence, and :func:`run_points` is
+the one executor behind all of them.  A work unit is ``(point, cells,
+seed_chunk)``: each seed's workload is generated once, its derived
+state (topological order, adjacency, transitive closure, per-estimator
+WCET maps) is computed once on a
+:class:`~repro.experiments.context.TrialContext`, and every cell is
+judged on that same workload — the paper's paired design (one fixed
+set of 1024 task graphs judged by every metric).  A point of
+:func:`run_experiment` is an x value with one cell per series; a point
+of :func:`~repro.experiments.robustness.run_robustness` is a
+configuration with one cell per metric; a point of
+:func:`~repro.experiments.sweep2d.run_sweep2d` is a grid point with one
+cell.
 
-* ``"paired"`` (default) — a work unit is ``(x_index, seed_chunk)``
-  covering *every* series of the sweep point.  Each seed's workload is
-  generated once, its derived state (topological order, adjacency,
-  transitive closure, per-estimator WCET maps) is computed once on a
-  :class:`~repro.experiments.context.TrialContext`, and every series is
-  judged on that same workload — the paper's paired design (one fixed
-  set of 1024 task graphs judged by every metric), and a 2–4× wall-clock
-  win on multi-series sweeps.
-* ``"percell"`` — the historical engine: one work unit per
-  ``(x_index, series)`` cell, regenerating the workload per series.
-  Kept for equivalence testing and benchmarking; both engines produce
-  bit-identical cells because trial seeds never depend on the series.
+The reference oracle is ``REPRO_KERNEL=0`` (read per trial, inherited
+by pool workers), or ``use_kernel=False`` at :func:`run_trial` /
+:func:`run_paired_cells`; results are bit-identical either way.
 
-Both engines can consult a persistent content-addressed result store
-(``run_experiment(cache=...)``, see :mod:`repro.store`): each
-``(cell, seed-chunk)`` partial is keyed by a digest of the trial config
-and its seed block, so warm re-runs skip completed chunks entirely, an
+:func:`run_experiment` can consult a persistent content-addressed
+result store (``cache=...``, see :mod:`repro.store`): each ``(cell,
+seed-chunk)`` partial is keyed by a digest of the trial config and its
+seed block, so warm re-runs skip completed chunks entirely, an
 interrupted sweep resumes where it stopped, and a delta sweep that adds
 a series to an existing grid recomputes only the new series' judgments
 — all while producing the same ``ExperimentResult``, bit for bit, as an
-uncached run at any ``jobs``/``engine`` setting (cached partials are
-the exact aggregates the engine would have produced, and merge order is
+uncached run at any ``jobs`` setting (cached partials are the exact
+aggregates the executor would have produced, and merge order is
 preserved).
 """
 
@@ -59,21 +63,13 @@ from .spec import ExperimentSpec, TrialConfig, TrialOutcome
 
 __all__ = [
     "run_trial",
-    "run_cell",
     "run_paired_cells",
+    "run_points",
     "run_experiment",
     "cell_chunk_key",
     "CellResult",
     "ExperimentResult",
-    "ENGINE_NAMES",
 ]
-
-#: Execution engines accepted by :func:`run_experiment`.
-#: ``"paired-ref"`` is the paired engine pinned to the string-keyed
-#: reference trial pipeline (the kernel's oracle); ``"paired"`` and
-#: ``"percell"`` use the compiled kernel whenever it is enabled and the
-#: config is inside its envelope — results are bit-identical either way.
-ENGINE_NAMES: tuple[str, ...] = ("paired", "paired-ref", "percell")
 
 
 def run_trial(
@@ -85,8 +81,8 @@ def run_trial(
     """Run one generate→slice→schedule trial.
 
     ``context`` optionally supplies the trial's generated workload and
-    lazily cached derived state; the paired engine passes one context to
-    every series of a trial.  When omitted, the workload is generated
+    lazily cached derived state; a paired unit passes one context to
+    every cell of a trial.  When omitted, the workload is generated
     here from *seed* — the outcome is identical either way, because the
     context only memoizes pure functions of the workload.
 
@@ -112,9 +108,9 @@ def run_trial(
     metric = get_metric(config.metric, config.adaptive)
 
     # ``use_k`` pins the slicing/scheduling sub-dispatch too: with the
-    # kernel off (the ``paired-ref`` oracle leg, ``use_kernel=False``)
-    # every layer must run the string-keyed reference code, so neither
-    # helper may fall back to its own environment check.
+    # kernel off (the oracle leg) every layer must run the string-keyed
+    # reference code, so neither helper may fall back to its own
+    # environment check.
     assignment = distribute_deadlines(
         graph,
         platform,
@@ -261,8 +257,8 @@ def cell_chunk_key(config: TrialConfig, seeds: Sequence[int]) -> str:
     locality knobs) and the exact seed block — plus, inside
     :func:`repro.store.store_key`, the store schema and the code salt.
     Deliberately *not* keyed: the root seed, x value/index and trials
-    count (all already captured by the derived seeds), and
-    ``jobs``/``engine`` (results are invariant to them).  Sweeps that
+    count (all already captured by the derived seeds), and ``jobs`` and
+    the tier (results are invariant to them).  Sweeps that
     overlap — a widened x axis, more trials per cell, a new series —
     therefore share every chunk they have in common.
     """
@@ -275,54 +271,64 @@ def _nan_zero(v: float) -> float:
     return 0.0 if v != v else v
 
 
-class _CellAccumulator:
-    """Streaming aggregation of trial outcomes into one :class:`CellResult`.
+def _mean(values: list[float]) -> float:
+    return sum(values) / len(values) if values else float("nan")
 
-    Shared by both engines so their per-chunk floating-point arithmetic
-    is literally the same code (a prerequisite of the bit-identical
-    equivalence contract).
+
+def _accumulate(
+    cells: Sequence[tuple[int, TrialConfig]],
+    outcomes: dict[tuple[int, int], TrialOutcome],
+    lanes: range,
+) -> list[tuple[int, CellResult]]:
+    """One partial :class:`CellResult` per cell over the seed *lanes*.
+
+    ``outcomes[(series_index, lane)]`` holds each cell's outcome per
+    seed lane; sums run in lane order.  This is the only aggregation
+    code — the executor and the fabric's coalesced batches both go
+    through it, so their floats are literally the same sums.
     """
-
-    __slots__ = ("successes", "degenerate", "laxities", "latenesses")
-
-    def __init__(self) -> None:
-        self.successes = 0
-        self.degenerate = 0
-        self.laxities: list[float] = []
-        self.latenesses: list[float] = []
-
-    def add(self, outcome: TrialOutcome) -> None:
-        self.successes += int(outcome.success)
-        self.degenerate += int(outcome.degenerate)
-        self.laxities.append(outcome.min_laxity)
-        if outcome.max_lateness == outcome.max_lateness:  # not NaN
-            self.latenesses.append(outcome.max_lateness)
-
-    def result(self, trials: int) -> CellResult:
-        laxities, latenesses = self.laxities, self.latenesses
-        mean_lax = sum(laxities) / len(laxities) if laxities else float("nan")
-        mean_late = (
-            sum(latenesses) / len(latenesses) if latenesses else float("nan")
-        )
-        return CellResult(
-            estimate=BinomialEstimate(self.successes, trials),
-            degenerate=self.degenerate,
-            mean_min_laxity=mean_lax,
-            mean_max_lateness=mean_late,
+    partials = []
+    for si, _config in cells:
+        outs = [outcomes[(si, lane)] for lane in lanes]
+        # NaN marks a trial whose lateness was not measured.
+        latenesses = [
+            o.max_lateness for o in outs if o.max_lateness == o.max_lateness
+        ]
+        cell = CellResult(
+            estimate=BinomialEstimate(sum(o.success for o in outs), len(outs)),
+            degenerate=sum(o.degenerate for o in outs),
+            mean_min_laxity=_mean([o.min_laxity for o in outs]),
+            mean_max_lateness=_mean(latenesses),
             lateness_trials=len(latenesses),
         )
+        partials.append((si, cell))
+    return partials
 
 
-def run_cell(
-    config: TrialConfig,
+def _judge(
+    cells: Sequence[tuple[int, TrialConfig]],
     seeds: Sequence[int],
-    use_kernel: bool | None = None,
-) -> CellResult:
-    """Run a block of trials of one cell serially (per-cell worker unit)."""
-    acc = _CellAccumulator()
-    for seed in seeds:
-        acc.add(run_trial(config, seed, use_kernel=use_kernel))
-    return acc.result(len(seeds))
+    use_kernel: bool | None,
+) -> dict[tuple[int, int], TrialOutcome]:
+    """Every cell's outcome on every seed, keyed ``(series_index, lane)``.
+
+    The seed-batch driver when :func:`~repro.kernel.vec.batch_engages`
+    says so, else the sequential loop; the outcomes are the same, bit
+    for bit.
+    """
+    if batch_engages(cells, len(seeds), use_kernel):
+        contexts = TrialContext.from_seeds(cells[0][1].workload, seeds)
+        return paired_outcomes(cells, seeds, contexts, use_kernel)
+    outcomes = {}
+    for sp, seed in enumerate(seeds):
+        contexts_by_wl: dict[Any, TrialContext] = {}
+        for si, config in cells:
+            context = contexts_by_wl.get(config.workload)
+            if context is None:
+                context = TrialContext.from_seed(config.workload, seed)
+                contexts_by_wl[config.workload] = context
+            outcomes[(si, sp)] = run_trial(config, seed, context, use_kernel)
+    return outcomes
 
 
 def run_paired_cells(
@@ -330,45 +336,25 @@ def run_paired_cells(
     seeds: Sequence[int],
     use_kernel: bool | None = None,
 ) -> list[tuple[int, CellResult]]:
-    """Run a block of paired trials covering every series of one sweep point.
+    """Run one paired work unit: every cell of a sweep point on *seeds*.
 
-    *cells* lists ``(series_index, config)`` for one ``x_index``; for
-    each seed the workload is generated **once** per distinct
+    *cells* lists ``(series_index, config)``; for each seed the
+    workload is generated **once** per distinct
     :class:`~repro.workload.params.WorkloadParams` (normally exactly
-    once — series vary the metric/estimator/bus model, not the
-    generator) and every series is judged on it through a shared
+    once — cells vary the metric/estimator/bus model, not the
+    generator) and every cell is judged on it through a shared
     :class:`TrialContext`.  Returns one partial :class:`CellResult` per
-    series, aggregated over this seed block.
+    cell, aggregated over this seed block.
 
     When :func:`~repro.kernel.vec.batch_engages` says so (kernel on,
     at least :data:`~repro.kernel.vec.VEC_MIN_LANES` seeds, one shared
     workload family), the whole block runs through the seed-batch
     driver: one weight-stage array pass and one lockstep EDF pass cover
-    every seed lane of each series, and the per-series accumulators are
-    fed the identical outcomes in the identical seed order — the
-    aggregates match the sequential loop bit for bit.
+    every seed lane of each cell.  Its outcomes are the sequential
+    loop's, bit for bit, and both feed the same aggregation.
     """
-    if batch_engages(cells, len(seeds), use_kernel):
-        contexts = TrialContext.from_seeds(cells[0][1].workload, seeds)
-        outcomes = paired_outcomes(cells, seeds, contexts, use_kernel)
-        accs = {si: _CellAccumulator() for si, _ in cells}
-        for sp in range(len(seeds)):
-            for si, _config in cells:
-                accs[si].add(outcomes[(si, sp)])
-        return [(si, accs[si].result(len(seeds))) for si, _ in cells]
-
-    accs = {si: _CellAccumulator() for si, _ in cells}
-    for seed in seeds:
-        contexts_by_wl: dict[Any, TrialContext] = {}
-        for si, config in cells:
-            context = contexts_by_wl.get(config.workload)
-            if context is None:
-                context = TrialContext.from_seed(config.workload, seed)
-                contexts_by_wl[config.workload] = context
-            accs[si].add(
-                run_trial(config, seed, context, use_kernel)
-            )
-    return [(si, accs[si].result(len(seeds))) for si, _ in cells]
+    outcomes = _judge(cells, seeds, use_kernel)
+    return _accumulate(cells, outcomes, range(len(seeds)))
 
 
 @dataclass
@@ -444,55 +430,78 @@ class ExperimentResult:
         }
 
 
-def _cell_seeds(root_seed: int, x_index: int, trials: int) -> list[int]:
+def _cell_seeds(
+    root_seed: int, point: int | tuple[int, ...], trials: int
+) -> list[int]:
     """Deterministic per-trial seeds for one sweep point.
 
-    Seeds depend on the x index and trial index but *not* on the
-    series: every series at a sweep point is evaluated on the same
-    random workloads, mirroring the paper's design (one fixed set of
-    1024 task graphs judged by every metric) and giving the comparisons
-    a paired structure.  Series only change the metric/estimator/bus
-    model, never the generation, so sharing seeds is always sound.
+    *point* is the point's index (an x index, a configuration index) or
+    index tuple (a 2-D grid position).  Seeds depend on the point and
+    the trial index but *not* on the cell: every cell of a point is
+    evaluated on the same random workloads, mirroring the paper's
+    design (one fixed set of 1024 task graphs judged by every metric)
+    and giving the comparisons a paired structure.  Cells only change
+    the metric/estimator/bus model, never the generation, so sharing
+    seeds is always sound.
     """
-    return [derive_seed(root_seed, x_index, t) for t in range(trials)]
+    coords = point if isinstance(point, tuple) else (point,)
+    return [derive_seed(root_seed, *coords, t) for t in range(trials)]
 
 
-def run_experiment(
-    spec: ExperimentSpec,
+#: A sweep point: its index (see :func:`_cell_seeds`) and its
+#: ``(series_index, config)`` cells.
+Point = tuple[Any, list[tuple[int, TrialConfig]]]
+
+
+def _experiment_points(spec: ExperimentSpec) -> list[Point]:
+    """The sweep points of *spec*: one per x value, a cell per series."""
+    return [
+        (xi, [(si, config) for si, _label, config in group])
+        for xi, _x, group in spec.cells_by_x()
+    ]
+
+
+def _paired_units(
+    points: Sequence[Point], *, trials: int, seed: int, chunk_size: int
+) -> list[tuple[Any, list[tuple[int, TrialConfig]], list[int]]]:
+    """The ``(point, cells, seed_chunk)`` work units of *points*.
+
+    Point-major, chunk-minor: the canonical merge order, shared by the
+    executor and the sweep fabric's unit extraction.
+    """
+    units = []
+    for point, cells in points:
+        seeds = _cell_seeds(seed, point, trials)
+        for lo in range(0, trials, chunk_size):
+            units.append((point, cells, seeds[lo : lo + chunk_size]))
+    return units
+
+
+def run_points(
+    points: Sequence[Point],
     *,
-    trials: int = 1024,
-    seed: int = 2026,
-    jobs: int | None = None,
-    chunk_size: int = 32,
-    engine: str = "paired",
+    trials: int,
+    seed: int,
+    jobs: int | None,
+    chunk_size: int,
     cache: "TrialStore | str | Path | None" = None,
-) -> ExperimentResult:
-    """Run every cell of *spec* with *trials* trials each.
+) -> tuple[dict[tuple[Any, int], CellResult], StoreStats | None]:
+    """Run every cell of *points* on *trials* paired seeds each.
 
-    ``jobs`` selects the number of worker processes (default: CPU
-    count, clamped to the number of dispatched work units so small
-    sweeps never spawn idle workers); ``jobs <= 1`` runs serially
-    in-process, which is also the mode the test suite uses.  ``engine``
-    picks the work-unit shape: ``"paired"`` (default) fans out
-    ``(x_index, seed_chunk)`` units that evaluate every series on one
-    generated workload per seed; ``"percell"`` is the historical
-    one-unit-per-(x, series) engine.  Results are invariant to ``jobs``
-    and ``engine`` — cell for cell, bit for bit — because trial seeds
-    depend only on ``(seed, x_index, trial_index)`` and both engines
-    chunk the seed sequence identically.  ``chunk_size`` changes only
-    how the partial mean-laxity/lateness sums are grouped before
-    merging, which can shift those two means by floating-point rounding
-    (success counts stay bit-identical).
+    The one executor.  Each point's seeds are split into chunks of
+    *chunk_size*; every ``(point, cells, seed_chunk)`` unit runs
+    through :func:`run_paired_cells`, inline when at most one worker
+    is resolved (see :func:`_resolve_jobs`), else on the
+    interrupt-safe :func:`_run_pool`.  Returns each cell's merged
+    result keyed ``(point, series_index)`` — partials merge in chunk
+    order, so the result is invariant to ``jobs`` — and the run's store
+    activity (``None`` without a cache).
 
     ``cache`` — a :class:`~repro.store.TrialStore` or a directory path
-    — consults the persistent result store before computing: completed
-    ``(cell, seed-chunk)`` partials (see :func:`cell_chunk_key`) are
-    restored instead of re-judged, fresh partials are appended for the
-    next run.  The returned result is bit-identical to an uncached run;
-    the run's store activity lands in ``result.cache_stats``.  Because
-    keys cover the config and seed block only, a warm store also
-    accelerates *overlapping* sweeps: added series, widened x axes, or
-    raised trial counts recompute just the missing chunks.
+    — restores stored ``(cell, seed-chunk)`` partials (see
+    :func:`cell_chunk_key`) instead of judging them and appends the
+    fresh ones; a unit dispatches only its missing cells, and a fully
+    stored unit never reaches a worker.
     """
     if trials < 1:
         raise ExperimentError("trials must be at least 1")
@@ -506,50 +515,124 @@ def run_experiment(
         raise ExperimentError(
             f"chunk_size must be at least 1, got {chunk_size}"
         )
-    if engine not in ENGINE_NAMES:
-        raise ExperimentError(
-            f"unknown engine {engine!r}; choose from {ENGINE_NAMES}"
-        )
+    units = _paired_units(
+        points, trials=trials, seed=seed, chunk_size=chunk_size
+    )
     store, owned = _resolve_store(cache)
+    stats_before = store.stats() if store is not None else None
+    results: list[dict[int, CellResult]] = [{} for _ in units]
+    keys: list[dict[int, str]] = [{} for _ in units]
+    try:
+        dispatch = []
+        for u, (_point, cells, seeds) in enumerate(units):
+            missing = cells
+            if store is not None:
+                missing = []
+                for si, config in cells:
+                    skey = cell_chunk_key(config, seeds)
+                    cached = store.get(skey)
+                    if cached is not None:
+                        results[u][si] = CellResult.from_dict(cached)
+                    else:
+                        keys[u][si] = skey
+                        missing.append((si, config))
+            if missing:
+                dispatch.append((u, missing, seeds))
+
+        workers = _resolve_jobs(jobs, len(dispatch))
+        if workers <= 1:
+            # A lone unit (the warm-cache tail) never forks a pool:
+            # fork/import costs more than judging one chunk.
+            batches = [
+                (u, run_paired_cells(cells, seeds))
+                for u, cells, seeds in dispatch
+            ]
+        else:
+            batches = _run_pool(
+                workers,
+                (
+                    (u, run_paired_cells, (cells, seeds))
+                    for u, cells, seeds in dispatch
+                ),
+            )
+        for u, partials in batches:
+            results[u].update(partials)
+        if store is not None and batches:
+            store.put_many(
+                (keys[u][si], cell.to_dict())
+                for u, partials in batches
+                for si, cell in partials
+            )
+    finally:
+        stats = None
+        if store is not None:
+            stats = store.stats().since(stats_before)
+            if owned:
+                store.close()
+
+    merged: dict[tuple[Any, int], CellResult] = {}
+    for u, (point, cells, _seeds) in enumerate(units):
+        for si, _config in cells:
+            key, cell = (point, si), results[u][si]
+            merged[key] = merged[key].merged(cell) if key in merged else cell
+    return merged, stats
+
+
+def run_experiment(
+    spec: ExperimentSpec,
+    *,
+    trials: int = 1024,
+    seed: int = 2026,
+    jobs: int | None = None,
+    chunk_size: int = 32,
+    cache: "TrialStore | str | Path | None" = None,
+) -> ExperimentResult:
+    """Run every cell of *spec* with *trials* trials each.
+
+    ``jobs`` selects the number of worker processes (default: CPU
+    count, clamped to the number of dispatched work units so small
+    sweeps never spawn idle workers); ``jobs <= 1`` runs serially
+    in-process, which is also the mode the test suite uses.  A work
+    unit is ``(x_index, seed_chunk)`` and judges every series on one
+    generated workload per seed (see :func:`run_points`).  Results are
+    invariant to ``jobs`` — cell for cell, bit for bit — because trial
+    seeds depend only on ``(seed, x_index, trial_index)``.
+    ``chunk_size`` changes only how the partial mean-laxity/lateness
+    sums are grouped before merging, which can shift those two means by
+    floating-point rounding (success counts stay bit-identical).
+
+    ``cache`` — a :class:`~repro.store.TrialStore` or a directory path
+    — consults the persistent result store before computing: completed
+    ``(cell, seed-chunk)`` partials (see :func:`cell_chunk_key`) are
+    restored instead of re-judged, fresh partials are appended for the
+    next run.  The returned result is bit-identical to an uncached run;
+    the run's store activity lands in ``result.cache_stats``.  Because
+    keys cover the config and seed block only, a warm store also
+    accelerates *overlapping* sweeps: added series, widened x axes, or
+    raised trial counts recompute just the missing chunks.
+    """
     start = time.perf_counter()
-    result = ExperimentResult(
+    cells, cache_stats = run_points(
+        _experiment_points(spec),
+        trials=trials,
+        seed=seed,
+        jobs=jobs,
+        chunk_size=chunk_size,
+        cache=cache,
+    )
+    return ExperimentResult(
         name=spec.name,
         title=spec.title,
         x_label=spec.x_label,
         x_values=list(spec.x_values),
         series=list(spec.series),
+        cells=cells,
         trials_per_cell=trials,
         seed=seed,
+        elapsed_seconds=time.perf_counter() - start,
         paper_reference=spec.paper_reference,
+        cache_stats=cache_stats,
     )
-
-    stats_before = store.stats() if store is not None else None
-    try:
-        if engine == "percell":
-            partials = _run_percell_units(
-                spec, trials, seed, jobs, chunk_size, store
-            )
-        else:
-            # "paired" defers to the REPRO_KERNEL switch per trial;
-            # "paired-ref" pins the reference pipeline (kernel oracle).
-            partials = _run_paired_units(
-                spec, trials, seed, jobs, chunk_size, store,
-                use_kernel=False if engine == "paired-ref" else None,
-            )
-    finally:
-        if store is not None:
-            result.cache_stats = store.stats().since(stats_before)
-            if owned:
-                store.close()
-
-    for key, cell in partials:
-        if key in result.cells:
-            result.cells[key] = result.cells[key].merged(cell)
-        else:
-            result.cells[key] = cell
-
-    result.elapsed_seconds = time.perf_counter() - start
-    return result
 
 
 def _resolve_store(
@@ -576,37 +659,32 @@ def _resolve_jobs(jobs: int | None, n_units: int | None = None) -> int:
     return resolved
 
 
-def _collect(futures, what: str = "cell"):
-    """Drain (key, future) pairs, surfacing worker crashes clearly."""
-    out = []
-    for key, fut in futures:
-        try:
-            out.append((key, fut.result()))
-        except ReproError:
-            raise
-        except Exception as exc:
-            raise ExperimentError(
-                f"worker failed on {what} {key}: {exc}"
-            ) from exc
-    return out
+def _run_pool(max_workers: int, tasks) -> list:
+    """Run ``(key, callable, args)`` tasks on a process pool, interrupt-safely.
 
-
-def _run_pool(max_workers: int, tasks, what: str):
-    """Run ``(key, args)`` tasks on a process pool, interrupt-safely.
-
-    ``tasks`` yields ``(key, callable, args)``; returns ``_collect``'s
-    ``(key, result)`` list.  The happy path is a plain submit/drain.
-    On *any* teardown — KeyboardInterrupt first among them — queued
-    futures are cancelled and the worker processes terminated instead
-    of the default ``shutdown(wait=True)``, which would keep computing
-    every queued unit after Ctrl-C and strand the user.  Discarding
-    running work is safe: results only reach the caller (and any
-    result store) after a future completes in-parent.
+    Returns ``(key, result)`` pairs in task order; a worker crash that
+    is not a :class:`~repro.errors.ReproError` surfaces as an
+    :class:`~repro.errors.ExperimentError` naming the key.  On *any*
+    teardown — KeyboardInterrupt first among them — queued futures are
+    cancelled and the worker processes terminated instead of the
+    default ``shutdown(wait=True)``, which would keep computing every
+    queued unit after Ctrl-C and strand the user.  Discarding running
+    work is safe: results only reach the caller (and any result store)
+    after a future completes in-parent.
     """
     pool = ProcessPoolExecutor(max_workers=max_workers)
     try:
         futures = [(key, pool.submit(fn, *args)) for key, fn, args in tasks]
-        out = _collect(futures, what=what)
+        out = []
+        for key, fut in futures:
+            try:
+                out.append((key, fut.result()))
+            except ReproError:
+                raise
+            except Exception as exc:
+                raise ExperimentError(
+                    f"worker failed on unit {key}: {exc}"
+                ) from exc
     except BaseException:
         pool.shutdown(wait=False, cancel_futures=True)
         # shutdown() only stops *queued* work; in-flight chunks would
@@ -620,139 +698,3 @@ def _run_pool(max_workers: int, tasks, what: str):
         raise
     pool.shutdown(wait=True)
     return out
-
-
-def _run_percell_units(
-    spec: ExperimentSpec,
-    trials: int,
-    seed: int,
-    jobs: int | None,
-    chunk_size: int,
-    store: TrialStore | None,
-) -> list[tuple[tuple[int, int], CellResult]]:
-    """The historical engine: one work unit per (cell, seed chunk)."""
-    units: list[tuple[tuple[int, int], TrialConfig, list[int]]] = []
-    for xi, _x, si, _label, config in spec.cells():
-        seeds = _cell_seeds(seed, xi, trials)
-        for lo in range(0, trials, chunk_size):
-            units.append(((xi, si), config, seeds[lo : lo + chunk_size]))
-
-    # Partition units into store hits (restored) and pending work.
-    results: list[CellResult | None] = [None] * len(units)
-    store_keys: dict[int, str] = {}
-    pending: list[int] = []
-    for i, (_key, config, seeds) in enumerate(units):
-        if store is not None:
-            skey = cell_chunk_key(config, seeds)
-            cached = store.get(skey)
-            if cached is not None:
-                results[i] = CellResult.from_dict(cached)
-                continue
-            store_keys[i] = skey
-        pending.append(i)
-
-    if pending:
-        # A single pending unit always runs inline: forking a pool to
-        # judge one chunk costs more than the chunk (the warm-cache
-        # tail of a resumed sweep hits this constantly).
-        if len(pending) == 1 or _resolve_jobs(jobs, len(pending)) <= 1:
-            for i in pending:
-                _key, config, seeds = units[i]
-                results[i] = run_cell(config, seeds)
-        else:
-            fresh = _run_pool(
-                _resolve_jobs(jobs, len(pending)),
-                ((i, run_cell, (units[i][1], units[i][2])) for i in pending),
-                what="cell",
-            )
-            for i, cell in fresh:
-                results[i] = cell
-        if store is not None:
-            store.put_many(
-                (store_keys[i], results[i].to_dict()) for i in pending
-            )
-
-    # Emit in unit order — the exact merge order of the uncached run.
-    return [(units[i][0], results[i]) for i in range(len(units))]
-
-
-def _run_paired_units(
-    spec: ExperimentSpec,
-    trials: int,
-    seed: int,
-    jobs: int | None,
-    chunk_size: int,
-    store: TrialStore | None,
-    use_kernel: bool | None = None,
-) -> list[tuple[tuple[int, int], CellResult]]:
-    """The paired engine: one work unit per (x_index, seed chunk).
-
-    Each unit returns one partial per series; partials are flattened
-    back to ``((x_index, series_index), CellResult)`` pairs in chunk
-    order per cell — the same merge order as the per-cell engine, so
-    the sequential weighted-mean merges produce identical floats.
-
-    With a store, a unit dispatches only its *missing* series (the
-    delta-sweep path): the shared paired workloads are generated once
-    per seed either way, but already-stored series skip judgment
-    entirely, and a fully stored unit never reaches a worker.
-    """
-    units: list[tuple[int, list[tuple[int, TrialConfig]], list[int]]] = []
-    for xi, _x, group in spec.cells_by_x():
-        cells = [(si, config) for si, _label, config in group]
-        seeds = _cell_seeds(seed, xi, trials)
-        for lo in range(0, trials, chunk_size):
-            units.append((xi, cells, seeds[lo : lo + chunk_size]))
-
-    unit_results: list[dict[int, CellResult]] = [{} for _ in units]
-    unit_keys: list[dict[int, str]] = [{} for _ in units]
-    dispatch: list[tuple[int, list[tuple[int, TrialConfig]], list[int]]] = []
-    for u, (_xi, cells, seeds) in enumerate(units):
-        missing = cells
-        if store is not None:
-            missing = []
-            for si, config in cells:
-                skey = cell_chunk_key(config, seeds)
-                cached = store.get(skey)
-                if cached is not None:
-                    unit_results[u][si] = CellResult.from_dict(cached)
-                else:
-                    unit_keys[u][si] = skey
-                    missing.append((si, config))
-        if missing:
-            dispatch.append((u, missing, seeds))
-
-    if dispatch:
-        # A single dispatched unit always runs inline in the parent
-        # process — no pool spin-up for the warm-cache tail where one
-        # chunk is missing (fork/import costs more than the kernel
-        # spends judging it).
-        if len(dispatch) == 1 or _resolve_jobs(jobs, len(dispatch)) <= 1:
-            batches = [
-                (u, run_paired_cells(cells, seeds, use_kernel))
-                for u, cells, seeds in dispatch
-            ]
-        else:
-            batches = _run_pool(
-                _resolve_jobs(jobs, len(dispatch)),
-                (
-                    (u, run_paired_cells, (cells, seeds, use_kernel))
-                    for u, cells, seeds in dispatch
-                ),
-                what="sweep-point unit",
-            )
-        records: list[tuple[str, dict[str, Any]]] = []
-        for u, partials in batches:
-            for si, cell in partials:
-                unit_results[u][si] = cell
-                if store is not None:
-                    records.append((unit_keys[u][si], cell.to_dict()))
-        if store is not None:
-            store.put_many(records)
-
-    # Flatten per unit in series order — identical to the uncached walk.
-    return [
-        ((units[u][0], si), unit_results[u][si])
-        for u in range(len(units))
-        for si, _config in units[u][1]
-    ]

@@ -170,7 +170,7 @@ class ExperimentSpec:
     ) -> list[tuple[int, Any, list[tuple[int, str, TrialConfig]]]]:
         """Enumerate ``(x_index, x, [(series_index, series, config), ...])``.
 
-        The grouping the paired-trial engine fans out over: one work
+        The grouping the runner's paired executor fans out over: one work
         unit covers *every* series of a sweep point, so each random
         workload is generated once and judged by all series (the paper's
         paired design over one fixed set of task graphs).

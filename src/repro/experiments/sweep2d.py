@@ -5,23 +5,22 @@ surface; :func:`run_sweep2d` maps the whole surface for a single
 metric/configuration — handy for locating the transition front the
 individual figures slice through.
 
-The same determinism contract as :mod:`repro.experiments.runner`
-applies: outcomes depend only on ``(seed, x_index, y_index,
-trial_index)``, and the per-point workload seeds are shared by any two
-sweeps with the same seed, so sweeps of different metrics are paired.
+Each grid point is a one-cell sweep point of the runner's paired
+executor (:func:`~repro.experiments.runner.run_points`), so its
+determinism contract applies: outcomes depend only on ``(seed,
+x_index, y_index, trial_index)``, and the per-point workload seeds are
+shared by any two sweeps with the same seed, so sweeps of different
+metrics are paired.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from ..errors import ExperimentError, ReproError
-from ..rng import derive_seed
-from .runner import CellResult, run_cell
+from ..errors import ExperimentError
+from .runner import CellResult, run_points
 from .spec import TrialConfig
 
 __all__ = ["Sweep2DResult", "run_sweep2d", "heatmap"]
@@ -84,63 +83,33 @@ def run_sweep2d(
     jobs: int | None = None,
     chunk_size: int = 32,
 ) -> Sweep2DResult:
-    """Evaluate ``config_for(x, y)`` over the full grid."""
+    """Evaluate ``config_for(x, y)`` over the full grid.
+
+    ``trials``/``jobs``/``chunk_size`` are checked and executed as in
+    :func:`~repro.experiments.runner.run_points`.
+    """
     if not x_values or not y_values:
         raise ExperimentError("both sweep axes need at least one value")
-    if trials < 1:
-        raise ExperimentError("trials must be at least 1")
     start = time.perf_counter()
-
-    units: list[tuple[tuple[int, int], TrialConfig, list[int]]] = []
-    for xi, x in enumerate(x_values):
-        for yi, y in enumerate(y_values):
-            config = config_for(x, y)
-            seeds = [
-                derive_seed(seed, xi, yi, t) for t in range(trials)
-            ]
-            for lo in range(0, trials, chunk_size):
-                units.append(
-                    ((xi, yi), config, seeds[lo : lo + chunk_size])
-                )
-
-    if jobs is None:
-        jobs = os.cpu_count() or 1
-    partials: list[tuple[tuple[int, int], CellResult]] = []
-    if jobs <= 1 or len(units) == 1:
-        for key, config, seeds in units:
-            partials.append((key, run_cell(config, seeds)))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                (key, pool.submit(run_cell, config, seeds))
-                for key, config, seeds in units
-            ]
-            for key, fut in futures:
-                try:
-                    partials.append((key, fut.result()))
-                except ReproError:
-                    raise
-                except Exception as exc:
-                    raise ExperimentError(
-                        f"worker failed on cell {key}: {exc}"
-                    ) from exc
-
-    result = Sweep2DResult(
+    points = [
+        ((xi, yi), [(0, config_for(x, y))])
+        for xi, x in enumerate(x_values)
+        for yi, y in enumerate(y_values)
+    ]
+    cells, _stats = run_points(
+        points, trials=trials, seed=seed, jobs=jobs, chunk_size=chunk_size
+    )
+    return Sweep2DResult(
         title=title,
         x_label=x_label,
         y_label=y_label,
         x_values=list(x_values),
         y_values=list(y_values),
+        cells={point: cell for (point, _si), cell in cells.items()},
         trials_per_cell=trials,
         seed=seed,
+        elapsed_seconds=time.perf_counter() - start,
     )
-    for key, cell in partials:
-        if key in result.cells:
-            result.cells[key] = result.cells[key].merged(cell)
-        else:
-            result.cells[key] = cell
-    result.elapsed_seconds = time.perf_counter() - start
-    return result
 
 
 _SHADES = " .:-=+*#%@"

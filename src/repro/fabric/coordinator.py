@@ -283,7 +283,6 @@ class FabricCoordinator:
             seed=self.seed,
             jobs=1,
             chunk_size=self.chunk_size,
-            engine="paired",
             cache=self.store,
         )
 

@@ -17,8 +17,8 @@ Every unit runs the same state machine::
 
 **Journaled commits.**  A state transition is an O(1) append of one
 JSON line to ``JOURNAL.jsonl`` under the :class:`~repro.store.FileLock`
-— not a rewrite of the whole manifest (the v1 format's whole-document
-commit made a sweep's queue I/O O(units²) in total).  The authoritative
+— not a rewrite of the whole manifest (a whole-document commit would
+make a sweep's queue I/O O(units²) in total).  The authoritative
 state is *snapshot + journal suffix*: each journal record carries a
 monotone sequence number ``q``, the snapshot records the last sequence
 folded into it, and every reader replays only the records with
@@ -49,11 +49,6 @@ append, and *skips the commit entirely* when the worker holds no lease
 holder counts once, and the records they commit are content-addressed
 so double commits are no-ops.
 
-**Migration.**  A v1 whole-document ``MANIFEST.json`` loads and
-upgrades in place on first contact: the document becomes the v2
-snapshot (at sequence 0) and subsequent transitions append to a fresh
-journal — resume semantics, counters, and done units all carry over.
-
 Resume: re-creating a queue over an existing manifest with the same
 sweep id keeps every ``done`` unit (nothing is recomputed) and leaves
 live leases to expire naturally; a different sweep id is an error —
@@ -74,12 +69,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 from ..errors import FabricError
 from ..store import FileLock
 
-__all__ = ["WorkQueue", "QueueSnapshot", "QUEUE_FORMAT", "QUEUE_FORMAT_V1"]
+__all__ = ["WorkQueue", "QueueSnapshot", "QUEUE_FORMAT"]
 
 QUEUE_FORMAT = "repro.fabric-queue/2"
-#: The pre-journal whole-document format, still readable (upgraded in
-#: place on first contact).
-QUEUE_FORMAT_V1 = "repro.fabric-queue/1"
 
 _STATES = ("pending", "leased", "done")
 
@@ -263,21 +255,15 @@ class WorkQueue:
                 f"unreadable queue manifest {self.path}: {exc}"
             ) from exc
         fmt = doc.get("format")
-        if fmt == QUEUE_FORMAT_V1:
-            # In-place upgrade: the whole document *is* the snapshot —
-            # stamp it v2 at sequence 0 and persist, so every later
-            # transition appends instead of rewriting.  Any journal
-            # lying next to a v1 manifest is foreign state: drop it.
-            doc["format"] = QUEUE_FORMAT
-            doc["seq"] = 0
-            self._doc = doc
-            self._install_snapshot_locked()
-            return doc
         if fmt != QUEUE_FORMAT:
+            # Queue state is disposable: the trial store holds every
+            # committed result, and a re-created queue pre-marks those
+            # units done, so resume stays free.
             raise FabricError(
                 f"queue manifest {self.path} has format {fmt!r}; this "
-                f"code reads {QUEUE_FORMAT!r} (or upgrades "
-                f"{QUEUE_FORMAT_V1!r})"
+                f"code reads {QUEUE_FORMAT!r}. Remove the sweep "
+                f"directory {self.root} and rerun: results already in "
+                "the store are reused, not recomputed"
             )
         return doc
 
@@ -300,10 +286,7 @@ class WorkQueue:
             doc = self._load_snapshot()
             self._doc = doc
             self._journal_offset = 0
-            # _load_snapshot may itself have rewritten the file (the
-            # v1 upgrade path); record the identity we will trust.
-            st = os.stat(self.path)
-            self._snap_sig = (st.st_ino, st.st_mtime_ns, st.st_size)
+            self._snap_sig = sig
         self._replay_locked()
         return self._doc
 

@@ -1,12 +1,12 @@
 """Work units of a distributed sweep (extraction, identity, compute).
 
-The fabric's unit of distribution is exactly the paired engine's unit
-of parallelism: one ``(x_index, seed-chunk)`` block covering *every*
-series of a sweep point.  A :class:`WorkUnit` carries the concrete
-:class:`~repro.experiments.spec.TrialConfig` of each series plus the
-chunk's seed block, so a worker needs no access to the experiment
-spec's config factory — units are plain data, picklable and
-JSON-serializable (the HTTP transport ships them as documents).
+The fabric's unit of distribution is exactly the runner's paired work
+unit, enumerated by the runner itself: one ``(x_index, seed-chunk)``
+block covering *every* series of a sweep point.  A :class:`WorkUnit`
+carries the concrete :class:`~repro.experiments.spec.TrialConfig` of
+each series plus the chunk's seed block, so a worker needs no access to
+the experiment spec's config factory — units are plain data, picklable
+and JSON-serializable (the HTTP transport ships them as documents).
 
 Identity is content-addressed all the way down: every series of a unit
 has its :func:`~repro.experiments.runner.cell_chunk_key` (the store
@@ -26,15 +26,16 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from ..errors import ExperimentError, FabricError
-from ..experiments.context import TrialContext
 from ..experiments.runner import (
-    _cell_seeds,
-    _CellAccumulator,
+    _accumulate,
+    _experiment_points,
+    _judge,
+    _paired_units,
     cell_chunk_key,
     run_paired_cells,
 )
 from ..experiments.spec import ExperimentSpec, TrialConfig
-from ..kernel.vec import VEC_MIN_LANES, batch_engages, paired_outcomes
+from ..kernel.vec import VEC_MIN_LANES, batch_engages
 from ..store import TrialStore, store_key
 
 __all__ = [
@@ -93,34 +94,31 @@ def extract_units(
     seed: int,
     chunk_size: int = 32,
 ) -> list[WorkUnit]:
-    """Shard *spec* into the paired engine's work units, in merge order.
+    """Shard *spec* into the runner's paired work units, in merge order.
 
-    The enumeration (x-major, seed-chunk-minor) matches
-    ``_run_paired_units`` exactly, so a merge that restores these units
-    from the store walks the same order as an uncached run.
+    The runner's own enumeration (``_paired_units``: x-major,
+    seed-chunk-minor), so a merge that restores these units from the
+    store walks the same order as an uncached run.
     """
     if trials < 1:
         raise FabricError("trials must be at least 1")
     if chunk_size < 1:
         raise FabricError(f"chunk_size must be at least 1, got {chunk_size}")
     units: list[WorkUnit] = []
-    for xi, _x, group in spec.cells_by_x():
-        cells = tuple((si, config) for si, _label, config in group)
-        seeds = _cell_seeds(seed, xi, trials)
-        for lo in range(0, trials, chunk_size):
-            chunk = tuple(seeds[lo : lo + chunk_size])
-            keys = tuple(
-                cell_chunk_key(config, chunk) for _si, config in cells
+    for xi, cells, seeds in _paired_units(
+        _experiment_points(spec), trials=trials, seed=seed,
+        chunk_size=chunk_size,
+    ):
+        keys = tuple(cell_chunk_key(config, seeds) for _si, config in cells)
+        units.append(
+            WorkUnit(
+                unit_id=_unit_id(keys),
+                x_index=xi,
+                cells=tuple(cells),
+                seeds=tuple(seeds),
+                keys=keys,
             )
-            units.append(
-                WorkUnit(
-                    unit_id=_unit_id(keys),
-                    x_index=xi,
-                    cells=cells,
-                    seeds=chunk,
-                    keys=keys,
-                )
-            )
+        )
     return units
 
 
@@ -202,7 +200,7 @@ def compute_unit(
 ) -> list[tuple[str, dict[str, Any]]]:
     """Judge one unit; returns its ``(store key, record)`` pairs.
 
-    Exactly the paired engine's arithmetic
+    Exactly the runner's arithmetic
     (:func:`~repro.experiments.runner.run_paired_cells` on the same
     cells and seed block), so the committed records are the ones a
     single-process run would have produced.  ``use_kernel`` pins the
@@ -226,12 +224,12 @@ def compute_units(
     Runs of consecutive units that share one cell tuple (seed chunks of
     the same sweep point — exactly what batched leasing hands out,
     since units are enumerated x-major) are coalesced into a single
-    vectorized seed batch: one :func:`~repro.kernel.vec.paired_outcomes`
-    array pass covers every lane of every unit in the run, and each
-    unit's records are then aggregated from its own lanes through the
-    shared :class:`~repro.experiments.runner._CellAccumulator`.  Lanes
-    are computed independently in the batch driver and the aggregation
-    is the very code :func:`run_paired_cells` uses, so the records are
+    vectorized seed batch: one array pass of the runner's seed-batch
+    driver covers every lane of every unit in the run, and each unit's
+    records are then aggregated from its own lanes by the runner's
+    ``_accumulate``.  Lanes are computed independently in the
+    batch driver and the aggregation is the very code
+    :func:`run_paired_cells` uses, so the records are
     bit-identical to computing each unit alone — batching changes the
     protocol cost, never the bytes.  Single units, and groups
     :func:`~repro.kernel.vec.batch_engages` turns down, fall back to
@@ -251,19 +249,16 @@ def compute_units(
         lanes = sum(len(u.seeds) for u in group)
         if len(group) > 1 and batch_engages(cells, lanes, use_kernel):
             seeds = [s for u in group for s in u.seeds]
-            contexts = TrialContext.from_seeds(cells[0][1].workload, seeds)
-            outcomes = paired_outcomes(cells, seeds, contexts, use_kernel)
+            outcomes = _judge(cells, seeds, use_kernel)
             offset = 0
             for unit in group:
-                n = len(unit.seeds)
-                accs = {si: _CellAccumulator() for si, _ in cells}
-                for sp in range(offset, offset + n):
-                    for si, _config in cells:
-                        accs[si].add(outcomes[(si, sp)])
-                offset += n
+                lanes = range(offset, offset + len(unit.seeds))
+                offset = lanes.stop
                 results.extend(
-                    (unit.keys[j], accs[si].result(n).to_dict())
-                    for j, (si, _config) in enumerate(cells)
+                    (key, cell.to_dict())
+                    for key, (_si, cell) in zip(
+                        unit.keys, _accumulate(cells, outcomes, lanes)
+                    )
                 )
         else:
             for unit in group:

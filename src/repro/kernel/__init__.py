@@ -5,12 +5,12 @@ Compiles a generated workload once into contiguous arrays
 evaluation, Algorithm SLICING, EDF list scheduling — against them,
 bit-identical to the string-keyed reference implementation in
 ``repro.core`` / ``repro.sched`` (which stays available as the oracle
-via ``engine="paired-ref"`` or ``REPRO_KERNEL=0``).
+via ``REPRO_KERNEL=0``, or ``use_kernel=False`` per call).
 
 A third tier, :mod:`repro.kernel.vec`, judges a whole seed batch as a
 NumPy stage pipeline — batched estimates and weights, then a lockstep
-EDF engine — still bit-identical.  The paired engine and the sweep
-fabric engage it for blocks of at least ``VEC_MIN_LANES`` seeds while
+EDF engine — still bit-identical.  The runner's paired work units and
+the sweep fabric engage it for blocks of at least ``VEC_MIN_LANES`` seeds while
 the kernel is enabled.
 
 See ``docs/performance.md`` for the architecture and the measured

@@ -10,9 +10,12 @@ tested bit-identical against.
 
 ``REPRO_KERNEL=0`` disables the kernel globally, the vectorized
 seed-batch tier included (the environment is read per call, so tests
-and the CLI can flip it without re-imports);
-``engine="paired-ref"`` in :func:`repro.experiments.runner.run_experiment`
-forces the reference path for one run regardless of the environment.
+and the CLI can flip it without re-imports, and pool workers inherit
+it); ``use_kernel=False`` at
+:func:`~repro.experiments.runner.run_trial`,
+:func:`~repro.experiments.runner.run_paired_cells` or
+:func:`~repro.fabric.units.compute_unit` forces the reference path for
+one call regardless of the environment.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ pipeline of whole-array NumPy ops:
   *all* lanes one placement per step, batching the ready-set deadline
   comparisons and the per-processor placement probes as
   ``[lanes × tasks]`` array ops;
-* :func:`paired_outcomes` — the seed-batch driver the paired engine
-  calls: estimates and weights, then the compiled slicing DP per lane,
+* :func:`paired_outcomes` — the seed-batch driver the runner's paired
+  units call: estimates and weights, then the compiled slicing DP per lane,
   then one lockstep EDF call for every series of the block.
 
 :func:`batch_engages` is the one rule that picks this tier: the kernel
@@ -1048,7 +1048,7 @@ def vec_schedule_edf_batch(
 
 
 # ----------------------------------------------------------------------
-# Seed-batch driver for the paired engine
+# Seed-batch driver for the runner's paired units
 # ----------------------------------------------------------------------
 
 

@@ -105,14 +105,19 @@ class RemoteAssignError(Exception):
     Carries the worker's :func:`~repro.service.server.error_category`
     triple so the HTTP handler maps it exactly like an in-process
     failure: ``overload`` → 429, ``bad_json`` / ``repro`` → 400,
-    ``internal`` → 500.
+    ``internal`` → 500.  ``validated`` is false when the body failed
+    decoding or request validation, before the service's ``assign``
+    path booked anything.
     """
 
-    def __init__(self, category: str, kind: str, message: str) -> None:
+    def __init__(
+        self, category: str, kind: str, message: str, validated: bool = True
+    ) -> None:
         super().__init__(message)
         self.category = category
         self.kind = kind
         self.message = message
+        self.validated = validated
 
 
 def _pool_worker_main(conn, config: dict) -> None:
@@ -128,7 +133,8 @@ def _pool_worker_main(conn, config: dict) -> None:
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    from .server import DeadlineAssignmentService, error_category
+    from .api import request_from_dict, response_to_dict
+    from .server import DeadlineAssignmentService, decode_body, error_category
 
     service = DeadlineAssignmentService(
         cache_size=config.get("cache_size", 1024),
@@ -153,12 +159,17 @@ def _pool_worker_main(conn, config: dict) -> None:
                 pass  # parent is gone; nothing left to answer to
 
     def do_assign(rid: int, body: bytes) -> None:
+        # ``service.assign_body`` step by step, so the reply can say
+        # whether the body got past validation.
+        validated = False
         try:
             if compute_delay > 0.0:
                 time.sleep(compute_delay)
-            send(("ok", rid, service.assign_body(body)))
+            request = request_from_dict(decode_body(body))
+            validated = True
+            send(("ok", rid, response_to_dict(service.assign(request))))
         except BaseException as exc:  # noqa: BLE001 - worker must survive
-            send(("err", rid) + error_category(exc))
+            send(("err", rid, validated) + error_category(exc))
 
     drain_timeout: float | None = None
     try:
@@ -242,9 +253,9 @@ class _WorkerHandle:
                 if msg[0] == "ok":
                     future.set_result(msg[2])
                 else:
-                    _, _, category, kind, message = msg
+                    _, _, validated, category, kind, message = msg
                     future.set_exception(
-                        RemoteAssignError(category, kind, message)
+                        RemoteAssignError(category, kind, message, validated)
                     )
             except Exception:  # noqa: BLE001 - a timed drain beat us
                 pass
@@ -397,7 +408,8 @@ class WorkerPool:
 
         Identical bodies in flight share one dispatch: the first becomes
         the leader, later arrivals wait on its future and are booked as
-        the in-process service books a coalesced miss.  Raises the
+        the in-process service books a coalesced miss — or not at all
+        when the body fails validation, as in-process.  Raises the
         leader's failure — a :class:`RemoteAssignError` from the worker,
         :class:`~repro.errors.ServiceOverloadError` when the pool is
         full, ``RuntimeError`` when no worker is running.
@@ -426,16 +438,23 @@ class WorkerPool:
 
     def _follow(self, leader: Future) -> dict[str, Any]:
         start = time.perf_counter()
-        self.metrics.cache_misses.inc()
-        self.metrics.singleflight_waits.inc()
-        source = "failed"
+        source: str | None = "failed"
         try:
             doc = leader.result()
             source = "coalesced"
             return doc
+        except RemoteAssignError as exc:
+            if not exc.validated:
+                source = None  # in-process, an invalid body books nothing
+            raise
         finally:
-            self.metrics.assignments.inc(source=source)
-            self.metrics.assign_latency.observe(time.perf_counter() - start)
+            if source is not None:
+                self.metrics.cache_misses.inc()
+                self.metrics.singleflight_waits.inc()
+                self.metrics.assignments.inc(source=source)
+                self.metrics.assign_latency.observe(
+                    time.perf_counter() - start
+                )
 
     def _dispatch(self, body: bytes) -> dict[str, Any]:
         start = time.perf_counter()

@@ -1,7 +1,8 @@
 """Cache-invariance tests for ``run_experiment(cache=...)``.
 
 The store must be invisible in the numbers: cache off, cold and warm
-runs — across both engines and serial/parallel execution — produce the
+runs — on the kernel and on the reference oracle (``REPRO_KERNEL=0``),
+serial and parallel — produce the
 same serialized result, byte for byte.  Comparisons go through
 canonical JSON *text* because all-fail cells carry NaN aggregates and
 ``NaN != NaN`` would mark identical docs as different.  The delta-sweep
@@ -39,10 +40,9 @@ def small_spec(series=("PURE", "NORM", "ADAPT-L")):
     )
 
 
-def result_text(spec, *, jobs=1, engine="paired", cache=None):
+def result_text(spec, *, jobs=1, cache=None):
     result = run_experiment(
-        spec, trials=12, seed=99, jobs=jobs, chunk_size=8,
-        engine=engine, cache=cache,
+        spec, trials=12, seed=99, jobs=jobs, chunk_size=8, cache=cache
     )
     doc = result.to_dict()
     doc.pop("elapsed_seconds", None)
@@ -51,19 +51,18 @@ def result_text(spec, *, jobs=1, engine="paired", cache=None):
 
 
 class TestCacheInvariance:
-    @pytest.mark.parametrize("engine", ["paired", "percell"])
+    @pytest.mark.parametrize("kernel", ["1", "0"], ids=["kernel", "oracle"])
     @pytest.mark.parametrize("jobs", [1, 4])
-    def test_off_cold_warm_identical(self, tmp_path, engine, jobs):
+    def test_off_cold_warm_identical(
+        self, tmp_path, monkeypatch, kernel, jobs
+    ):
+        monkeypatch.setenv("REPRO_KERNEL", kernel)
         spec = small_spec()
-        off, off_stats = result_text(spec, jobs=jobs, engine=engine)
+        off, off_stats = result_text(spec, jobs=jobs)
         assert off_stats is None  # no cache, no stats
         store = TrialStore(tmp_path / "s")
-        cold, cold_stats = result_text(
-            spec, jobs=jobs, engine=engine, cache=store
-        )
-        warm, warm_stats = result_text(
-            spec, jobs=jobs, engine=engine, cache=store
-        )
+        cold, cold_stats = result_text(spec, jobs=jobs, cache=store)
+        warm, warm_stats = result_text(spec, jobs=jobs, cache=store)
         assert cold == off
         assert warm == off
         assert cold_stats.hits == 0 and cold_stats.misses > 0
@@ -71,14 +70,16 @@ class TestCacheInvariance:
         assert warm_stats.hits == cold_stats.misses
         assert warm_stats.hit_rate == 1.0
 
-    def test_cross_engine_and_jobs_share_the_store(self, tmp_path):
-        """Chunk keys ignore jobs and engine, so any run warms every other."""
+    def test_cross_engine_and_jobs_share_the_store(
+        self, tmp_path, monkeypatch
+    ):
+        """Chunk keys ignore jobs and the tier: any run warms every other."""
         spec = small_spec()
         store = TrialStore(tmp_path / "s")
-        cold, _ = result_text(spec, jobs=1, engine="percell", cache=store)
-        warm, warm_stats = result_text(
-            spec, jobs=4, engine="paired", cache=store
-        )
+        monkeypatch.setenv("REPRO_KERNEL", "0")
+        cold, _ = result_text(spec, jobs=1, cache=store)
+        monkeypatch.delenv("REPRO_KERNEL")
+        warm, warm_stats = result_text(spec, jobs=4, cache=store)
         assert warm == cold
         assert warm_stats.misses == 0
 

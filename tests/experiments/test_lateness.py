@@ -9,8 +9,8 @@ from repro.experiments import (
     get_figure_spec,
     lateness_table,
     render_report,
-    run_cell,
     run_experiment,
+    run_paired_cells,
     run_trial,
 )
 from repro.experiments.runner import _cell_seeds
@@ -51,7 +51,7 @@ class TestCellAggregation:
         cfg = TrialConfig(
             workload=FAST.with_overrides(olr=1.2), measure_lateness=True
         )
-        cell = run_cell(cfg, _cell_seeds(7, 0, 8))
+        [(_si, cell)] = run_paired_cells([(0, cfg)], _cell_seeds(7, 0, 8))
         assert cell.lateness_trials == 8
         assert not math.isnan(cell.mean_max_lateness)
 

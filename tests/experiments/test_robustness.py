@@ -110,6 +110,9 @@ class TestRunRobustness:
             dict(metrics=["A", "A"], configurations=[{}]),
             dict(metrics=["A"], configurations=[]),
             dict(metrics=["A"], configurations=[{}], trials=0),
+            dict(metrics=["PURE"], configurations=[{}], chunk_size=0),
+            dict(metrics=["PURE"], configurations=[{}], jobs=0),
+            dict(metrics=["PURE"], configurations=[{}], jobs=-3),
         ],
     )
     def test_validation(self, kwargs):

@@ -6,8 +6,8 @@ from repro.errors import ExperimentError
 from repro.experiments import (
     ExperimentSpec,
     TrialConfig,
-    run_cell,
     run_experiment,
+    run_paired_cells,
     run_trial,
 )
 from repro.experiments.runner import CellResult, _cell_seeds
@@ -57,7 +57,9 @@ class TestRunTrial:
 class TestRunCell:
     def test_aggregates(self):
         c = TrialConfig(workload=FAST)
-        cell = run_cell(c, [derive_seed(1, i) for i in range(10)])
+        [(_si, cell)] = run_paired_cells(
+            [(0, c)], [derive_seed(1, i) for i in range(10)]
+        )
         assert cell.trials == 10
         assert 0 <= cell.estimate.successes <= 10
         assert cell.mean_min_laxity == cell.mean_min_laxity  # not NaN

@@ -39,6 +39,12 @@ class TestRunSweep2D:
             run_sweep2d(config_for, (), (1,), trials=1)
         with pytest.raises(ExperimentError):
             run_sweep2d(config_for, (1,), (1,), trials=0)
+        # The runner's shape check: no bare ValueError, no silent run.
+        with pytest.raises(ExperimentError, match="chunk_size"):
+            run_sweep2d(config_for, (2,), (1,), trials=1, chunk_size=0)
+        for jobs in (0, -3):
+            with pytest.raises(ExperimentError, match="jobs"):
+                run_sweep2d(config_for, (2,), (1,), trials=1, jobs=jobs)
 
     def test_missing_cell_raises(self):
         res = Sweep2DResult("t", "x", "y", [1], [1])

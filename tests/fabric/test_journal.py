@@ -4,19 +4,22 @@ Pins the crash-safety clauses the journaled commit path introduced:
 torn-tail healing after a SIGKILLed mid-append writer, exactly-once
 replay of a record whose newline never landed, snapshot-compaction
 equivalence, batched verb idempotency under duplicate / out-of-order
-completes, the heartbeat no-op fast path, and the in-place v1→v2
-manifest upgrade.
+completes, the heartbeat no-op fast path, and the refusal of a
+retired (v1) manifest.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.errors import FabricError
-from repro.fabric import WorkQueue
-from repro.fabric.queue import QUEUE_FORMAT, QUEUE_FORMAT_V1
+from repro.fabric import WorkQueue, run_sweep
+
+from .conftest import make_spec
 
 IDS = ["u-a", "u-b", "u-c", "u-d"]
 
@@ -27,6 +30,12 @@ class Clock:
 
     def __call__(self) -> float:
         return self.now
+
+
+def result_text(result) -> str:
+    doc = result.to_dict()
+    doc.pop("elapsed_seconds", None)
+    return json.dumps(doc, sort_keys=True)
 
 
 def make_queue(tmp_path, clock, ids=IDS, done=(), **kwargs):
@@ -211,81 +220,30 @@ class TestHeartbeatNoop:
         assert journal.stat().st_size > size
 
 
-class TestV1Upgrade:
-    def _write_v1(self, tmp_path, units):
-        root = tmp_path / "q"
-        root.mkdir(parents=True, exist_ok=True)
-        doc = {
-            "format": QUEUE_FORMAT_V1,
-            "sweep": "sweep-1",
-            "units": units,
-            "leases": 3,
-            "completions": 1,
-            "reissues": 1,
-            "workers": {"old-worker": 900.0},
-        }
-        (root / "MANIFEST.json").write_text(json.dumps(doc))
-        return root
+class TestRetiredManifest:
+    def test_v1_manifest_is_refused_and_rerun_is_free(self, tmp_path):
+        """A pre-journal manifest is refused, naming its format and the
+        sweep directory to remove; after removal the rerun finds every
+        unit already in the store and merges the same bytes."""
+        spec = make_spec()
+        shape = dict(trials=8, seed=5, workers=0, chunk_size=4)
+        store = tmp_path / "s"
+        first = run_sweep(spec, store=store, **shape)
+        sweep_dir = Path(first.report.fabric_root)
+        manifest = sweep_dir / "MANIFEST.json"
+        doc = json.loads(manifest.read_text())
+        doc["format"] = "repro.fabric-queue/1"
+        del doc["seq"]
+        manifest.write_text(json.dumps(doc))
+        (sweep_dir / "JOURNAL.jsonl").unlink(missing_ok=True)
 
-    def test_v1_manifest_upgrades_in_place_and_resumes(self, tmp_path):
-        self._write_v1(
-            tmp_path,
-            {
-                "u-a": {
-                    "state": "done",
-                    "worker": None,
-                    "expires": 0.0,
-                    "attempts": 2,
-                },
-                "u-b": {
-                    "state": "pending",
-                    "worker": None,
-                    "expires": 0.0,
-                    "attempts": 1,
-                },
-                "u-c": {
-                    "state": "pending",
-                    "worker": None,
-                    "expires": 0.0,
-                    "attempts": 0,
-                },
-                "u-d": {
-                    "state": "pending",
-                    "worker": None,
-                    "expires": 0.0,
-                    "attempts": 0,
-                },
-            },
-        )
-        clock = Clock()
-        q = make_queue(tmp_path, clock)  # resume over the v1 manifest
-        snap = q.snapshot()
-        assert (snap.done, snap.pending) == (1, 3)  # done carried over
-        assert snap.completions == 1 and snap.reissues == 1
-        doc = json.loads((tmp_path / "q" / "MANIFEST.json").read_text())
-        assert doc["format"] == QUEUE_FORMAT
-        assert q.lease("w", ttl=10.0) == "u-b"  # not the done unit
+        with pytest.raises(FabricError) as refused:
+            run_sweep(spec, store=store, **shape)
+        assert "'repro.fabric-queue/1'" in str(refused.value)
+        assert str(sweep_dir) in str(refused.value)
 
-    def test_v1_leased_units_expire_and_are_stolen(self, tmp_path):
-        self._write_v1(
-            tmp_path,
-            {
-                "u-a": {
-                    "state": "leased",
-                    "worker": "dead",
-                    "expires": 950.0,
-                    "attempts": 1,
-                },
-            },
-        )
-        clock = Clock()  # now=1000 > expires=950
-        q = WorkQueue.create(
-            tmp_path / "q", "sweep-1", ["u-a"], clock=clock
-        )
-        assert q.lease("thief", ttl=10.0) == "u-a"
-        assert q.snapshot().reissues == 2  # v1 carried 1, the steal adds 1
-
-    def test_v1_foreign_sweep_still_refused(self, tmp_path):
-        self._write_v1(tmp_path, {})
-        with pytest.raises(FabricError, match="belongs to sweep"):
-            WorkQueue.create(tmp_path / "q", "other-sweep", [], clock=Clock())
+        shutil.rmtree(sweep_dir)
+        rerun = run_sweep(spec, store=store, **shape)
+        assert rerun.report.prestored_units == rerun.report.units
+        assert rerun.report.completions == 0
+        assert result_text(rerun.result) == result_text(first.result)

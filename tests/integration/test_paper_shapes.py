@@ -7,7 +7,7 @@ the benchmark harness and EXPERIMENTS.md.
 
 import pytest
 
-from repro.experiments import TrialConfig, run_cell
+from repro.experiments import TrialConfig, run_paired_cells
 from repro.experiments.runner import _cell_seeds
 from repro.workload import WorkloadParams
 
@@ -19,7 +19,8 @@ def ratio(metric="ADAPT-L", estimator="WCET-AVG", cell=0, **workload):
         workload=WorkloadParams(**workload), metric=metric, estimator=estimator
     )
     seeds = _cell_seeds(20260706, cell, TRIALS)
-    return run_cell(config, seeds).ratio
+    [(_si, cell)] = run_paired_cells([(0, config)], seeds)
+    return cell.ratio
 
 
 class TestFigure2Shapes:
@@ -116,7 +117,7 @@ class TestAdaptivityParameters:
             adaptive=AdaptiveParams(k_l=0.0),
         )
         seeds = _cell_seeds(77, 0, 24)
-        assert (
-            run_cell(config_pure, seeds).estimate
-            == run_cell(config_k0, seeds).estimate
+        (_, pure), (_, k0) = run_paired_cells(
+            [(0, config_pure), (1, config_k0)], seeds
         )
+        assert pure.estimate == k0.estimate

@@ -1,12 +1,12 @@
-"""The kernel's switches: REPRO_KERNEL, engine="paired-ref", inline units.
+"""The kernel's switch (REPRO_KERNEL) and inline single units.
 
 Covers the operational contract around the fast path: the environment
 switch is read per call and round-trips through the CLI with
 byte-identical reports, it turns off the seed-batch driver too (so
-``REPRO_KERNEL=0`` really runs the reference oracle), the
-``paired-ref`` engine pins a run to the reference pipeline, and a
-single dispatched work unit never pays for a process pool (the
-warm-cache tail regression).
+``REPRO_KERNEL=0`` really runs the reference oracle), a whole
+``run_experiment`` under it equals the kernel run, and a single
+dispatched work unit never pays for a process pool (the warm-cache
+tail regression) — whichever front end dispatches it.
 """
 
 import json
@@ -20,7 +20,13 @@ import repro.kernel.slicing as slicing_mod
 import repro.kernel.trial as trial_mod
 import repro.kernel.vec as vec_mod
 from repro.cli import main
-from repro.experiments import ExperimentSpec, TrialConfig, run_experiment
+from repro.experiments import (
+    ExperimentSpec,
+    TrialConfig,
+    run_experiment,
+    run_robustness,
+    run_sweep2d,
+)
 from repro.experiments.runner import _resolve_jobs, run_paired_cells
 from repro.fabric import compute_unit, compute_units, extract_units
 from repro.kernel.trial import kernel_enabled
@@ -136,14 +142,12 @@ class TestKernelOffReachesOracle:
 
 
 class TestPairedRefEngine:
-    def test_paired_ref_equals_paired(self):
+    def test_paired_ref_equals_paired(self, monkeypatch):
         spec = _tiny_spec()
-        fast = run_experiment(
-            spec, trials=8, seed=3, jobs=1, engine="paired"
-        )
-        ref = run_experiment(
-            spec, trials=8, seed=3, jobs=1, engine="paired-ref"
-        )
+        monkeypatch.setenv("REPRO_KERNEL", "1")
+        fast = run_experiment(spec, trials=8, seed=3, jobs=1)
+        monkeypatch.setenv("REPRO_KERNEL", "0")
+        ref = run_experiment(spec, trials=8, seed=3, jobs=1)
         assert _doc_of(fast) == _doc_of(ref)
 
 
@@ -169,22 +173,34 @@ class _PoisonedPool:
 class TestSingleUnitInline:
     """One dispatched unit must run inline in the parent, pool-free."""
 
-    @pytest.mark.parametrize("engine", ["paired", "percell"])
-    def test_cold_single_unit_runs_inline(self, engine, monkeypatch, tmp_path):
-        series = ("PURE",) if engine == "percell" else ("PURE", "ADAPT-L")
-        spec = _tiny_spec(series)
-        baseline = run_experiment(
-            spec, trials=6, seed=7, jobs=1, chunk_size=6, engine=engine
-        )
+    @pytest.mark.parametrize(
+        "front_end", ["run_experiment", "run_robustness", "run_sweep2d"]
+    )
+    def test_cold_single_unit_runs_inline(self, front_end, monkeypatch):
+        spec = _tiny_spec()
+        shape = dict(trials=6, seed=7, chunk_size=6)
+
+        # trials == chunk_size and one sweep point: exactly one work
+        # unit, which must run inline even at jobs=4.
+        def run(jobs):
+            if front_end == "run_experiment":
+                return _doc_of(run_experiment(spec, jobs=jobs, **shape))
+            if front_end == "run_robustness":
+                result = run_robustness(
+                    spec.series, [{}], lambda _c, m: spec.config_for(3, m),
+                    jobs=jobs, **shape,
+                )
+                return repr(result.ratios)
+            result = run_sweep2d(
+                spec.config_for, (3,), ("PURE",), jobs=jobs, **shape
+            )
+            return repr(result.cells)
+
+        baseline = run(1)
         monkeypatch.setattr(
             runner_mod, "ProcessPoolExecutor", _PoisonedPool
         )
-        # trials == chunk_size and one x-value: exactly one work unit,
-        # which must run inline even at jobs=4.
-        result = run_experiment(
-            spec, trials=6, seed=7, jobs=4, chunk_size=6, engine=engine
-        )
-        assert _doc_of(result) == _doc_of(baseline)
+        assert run(4) == baseline
 
     def test_warm_cache_single_missing_unit_runs_inline(
         self, monkeypatch, tmp_path
@@ -197,7 +213,6 @@ class TestSingleUnitInline:
             seed=7,
             jobs=1,
             chunk_size=6,
-            engine="paired",
             cache=store,
         )
         # Warm re-run with one extra chunk of trials: only the new
@@ -211,11 +226,10 @@ class TestSingleUnitInline:
             seed=7,
             jobs=4,
             chunk_size=6,
-            engine="paired",
             cache=store,
         )
         baseline = run_experiment(
-            spec, trials=18, seed=7, jobs=1, chunk_size=6, engine="paired"
+            spec, trials=18, seed=7, jobs=1, chunk_size=6
         )
         assert _doc_of(warm) == _doc_of(baseline)
         assert _doc_of(cold) != _doc_of(warm)  # more trials, new numbers

@@ -193,6 +193,63 @@ class TestPooledEquivalence:
         assert computed >= 1 and hits >= 1
 
 
+def burst_counters(server, body: bytes, n: int = 6) -> dict[str, float]:
+    """POST *body* from *n* threads at once; the counter series after."""
+    host, port = server.server_address[:2]
+    threads = [
+        threading.Thread(target=post_assign, args=(host, port, body))
+        for _ in range(n)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(60.0)
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        conn.request("GET", "/metrics")
+        text = conn.getresponse().read().decode()
+    finally:
+        conn.close()
+    series = {}
+    for line in text.splitlines():
+        name, _, value = line.rpartition(" ")
+        if not line.startswith("#") and (
+            "_total" in name or name.endswith("_count")
+        ):
+            series[name] = float(value)
+    return series
+
+
+class TestPooledInvalidBodies:
+    def test_coalesced_invalid_bodies_book_like_in_process(self):
+        """Followers of a body that fails validation book nothing.
+
+        The in-process service rejects such a body before its assign
+        path, so no miss, assignment, single-flight wait or latency is
+        booked; the pool's coalesced followers must match.  The slow
+        2-worker pool makes the burst overlap one dispatch.
+        """
+        body = json.dumps({"graph": 1}).encode()
+        with serving(DeadlineAssignmentService()) as single:
+            expected = burst_counters(single, body)
+        pool = started_pool(2, compute_delay=0.5)
+        dispatches = []
+        dispatch = pool._dispatch
+
+        def counting(raw: bytes):
+            dispatches.append(raw)
+            return dispatch(raw)
+
+        pool._dispatch = counting
+        with serving(pool) as server:
+            pooled = burst_counters(server, body)
+        assert len(dispatches) < 6  # followers really coalesced
+        assert expected[
+            'repro_request_errors_total{kind="ValidationError"}'
+        ] == 6
+        assert pooled == expected
+
+
 class TestPooledBackpressure:
     """429 + Retry-After under saturation, without stranded futures."""
 
